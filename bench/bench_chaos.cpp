@@ -10,17 +10,17 @@
 // bench measures the modeled cost of the same code path on phantoms).
 //
 // Acceptance bar (enforced by scripts/bench_report.sh on the emitted
-// BENCH_chaos.json): killed arms complete within 1.5x the fault-free
-// virtual time of the engine executor and 2x of the pipeline executor,
-// every tripping arm adopts tasks, and the ledger reconciles exactly with
-// adoption: copy_tasks + direct_tasks == gemm_calls on every row, and on
-// engine rows engine_tasks + tasks_stolen + tasks_adopted == gemm_calls
-// (tests/test_chaos.cpp asserts the same split).  The engine holds the
-// tighter bar because its dependency-driven scheduler overlaps adoption
-// with the tail of its own work; the static pipeline has already drained its
-// per-rank schedule when recovery starts, so the whole adoption pass rides
-// the critical path — measured ~1.5-1.75x, enforced at 2x to absorb the
-// virtual-time jitter from the cooperative cache's fetcher election.
+// BENCH_chaos.json): killed arms complete within 2x the fault-free
+// virtual time of their executor, every tripping arm adopts tasks, and
+// the ledger reconciles exactly with adoption: copy_tasks + direct_tasks
+// == gemm_calls on every row, and on engine rows engine_tasks +
+// tasks_stolen + tasks_adopted == gemm_calls (tests/test_chaos.cpp
+// asserts the same split).  Both executors' adoption passes largely ride
+// the critical path once their own work is done — measured ~1.4-1.75x —
+// and the 2x tier absorbs the virtual-time jitter from the cooperative
+// cache's fetcher election.  Engine killed arms are additionally held to
+// the absolute virtual times committed before virtual-time steal
+// admission, so recovery can only have got faster since.
 
 #include <iostream>
 
@@ -83,7 +83,7 @@ int main(int argc, char** argv) {
   // 8 dual nodes: recovery cost scales with the DEAD FRACTION of the
   // machine (1/8 here — each survivor adopts ~1/14 extra compute and the
   // replica mirror is one block per rank regardless), so a mid-size
-  // cluster is where the 1.5x bar is the honest headline.  On the 4-node
+  // cluster is where the 2x bar is the honest headline.  On the 4-node
   // testing grid the same code sits near its floor of ~1.5x: one dead
   // domain of 4 means every survivor replays 1/3 extra compute before any
   // communication is even counted (tests/test_chaos.cpp covers that shape
@@ -92,7 +92,7 @@ int main(int argc, char** argv) {
   const index_t n = smoke_n(1024, 512);
   // Cache defaults ON here (unlike other benches): adoption replays the
   // dead ranks' panels out of the survivors' warm cooperative caches
-  // (docs/FAULTS.md §7), so the cached configuration is the one the 1.5x
+  // (docs/FAULTS.md §7), so the cached configuration is the one the 2x
   // recovery bar is enforced on.  --no-cache still measures cold recovery.
   const std::optional<bool> cache =
       parse_cache_flag(argc, argv).value_or(true);
@@ -132,10 +132,10 @@ int main(int argc, char** argv) {
   table.print(std::cout, "Linux cluster, 8 dual nodes (16 ranks), N=" +
                              std::to_string(n) + ", kill domain 1");
   std::cout
-      << "\nExpected shape: killed arms within 1.5x (engine) / 2x "
-         "(pipeline) of the executor's fault-free virtual time (replication "
-         "mirror + drain + adoption; the pipeline's adoption pass rides the "
-         "critical path), nonzero adopted tasks whenever the kill point is "
+      << "\nExpected shape: killed arms within 2x of the executor's "
+         "fault-free virtual time (replication mirror + drain + adoption, "
+         "which rides the critical path), nonzero adopted tasks whenever "
+         "the kill point is "
          "reachable (the pipeline never steals, so its steal arm runs "
          "fault-free), and an exactly reconciling ledger: copy_tasks + "
          "direct_tasks == gemm_calls everywhere, engine_tasks + "

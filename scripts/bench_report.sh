@@ -108,17 +108,24 @@ print("BENCH_cache.json: cache acceptance bar ok (cluster, sp)")
 
 # BENCH_steal.json carries the task engine's acceptance bar
 # (docs/ENGINE.md): with one 8x straggler node, the engine arm must be
-# >= 1.3x faster in virtual time than the static pipeline, must actually
-# steal tasks, and the steal ledger must reconcile exactly —
-# engine_tasks + tasks_stolen == copy_tasks + direct_tasks == gemm_calls.
+# >= 1.3x faster in virtual time than the static pipeline, and the steal
+# ledger must reconcile exactly — engine_tasks + tasks_stolen ==
+# copy_tasks + direct_tasks == gemm_calls.  How many steals virtual-time
+# admission lets through depends on real-time interleaving; what it
+# guarantees is that no owner waits on a thief: every Handback span is
+# exactly its tile copy, so the traced handback wait is zero.
 with open(sys.argv[6]) as f:
     steal = json.load(f)
 rows = {r["label"]: r for r in steal["rows"]}
-pipe, eng = rows["pipeline"], rows["engine"]
+pipe, eng, hb = rows["pipeline"], rows["engine"], rows["handback"]
 ratio = pipe["metrics"]["elapsed_s"] / eng["metrics"]["elapsed_s"]
 assert ratio >= 1.3, f"steal: speedup {ratio:.3f}x below the 1.3x bar"
 ec = eng["counters"]
-assert ec["tasks_stolen"] > 0, "steal: engine arm stole nothing"
+assert hb["metrics"]["handbacks"] == ec["tasks_stolen"], \
+    "steal: a stolen task was not handed back exactly once"
+assert hb["metrics"]["handback_wait_s"] <= 1e-12, (
+    f"steal: owners waited {hb['metrics']['handback_wait_s']:.3g} s on "
+    f"thieves beyond the tile copies")
 assert ec["engine_tasks"] + ec["tasks_stolen"] \
     == ec["copy_tasks"] + ec["direct_tasks"] == ec["gemm_calls"], \
     "steal: engine ledger does not reconcile"
@@ -130,23 +137,30 @@ assert pc["engine_tasks"] == pc["tasks_stolen"] == 0, \
 assert pc["copy_tasks"] + pc["direct_tasks"] == pc["gemm_calls"], \
     "steal: pipeline ledger does not reconcile"
 print(f"BENCH_steal.json: engine acceptance bar ok "
-      f"({ratio:.2f}x, {int(ec['tasks_stolen'])} steals)")
+      f"({ratio:.2f}x, {int(ec['tasks_stolen'])} steals, "
+      f"{int(ec['steals_denied'])} denied, no handback wait)")
 
 # BENCH_chaos.json carries the permanent-domain-death acceptance bar
 # (docs/FAULTS.md §7): with one dead domain, every killed arm must
-# complete within 1.5x (engine) / 2x (pipeline) of its executor's
-# fault-free virtual time — the static pipeline has already drained its
-# per-rank schedule when recovery starts, so its adoption pass rides the
-# critical path (measured ~1.5-1.75x; the looser bar absorbs scheduler
-# nondeterminism in the cooperative cache's fetcher election).  Every
-# arm whose kill point is reachable must adopt tasks (the pipeline never steals, so its steal arm runs fault-free and
-# adopts nothing), and the ledger must reconcile exactly with adoption:
+# complete within 2x of its executor's fault-free virtual time — adoption
+# rides the critical path once a survivor's own work is done (measured
+# ~1.4-1.75x; the slack absorbs scheduler nondeterminism in the
+# cooperative cache's fetcher election).  Engine killed arms must also be
+# no slower in absolute virtual time than the rows committed before
+# virtual-time steal admission (COMMITTED_ENGINE_KILLED_S below), so the
+# faster fault-free baseline cannot hide a slower recovery.  Every arm
+# whose kill point is reachable must adopt tasks (the pipeline never
+# steals, so its steal arm runs fault-free and adopts nothing), and the
+# ledger must reconcile exactly with adoption:
 # copy_tasks + direct_tasks == gemm_calls on every row, and on engine
 # rows additionally engine_tasks + tasks_stolen + tasks_adopted ==
 # gemm_calls (pipeline rows run no engine tasks and steal nothing).
 with open(sys.argv[7]) as f:
     chaos = json.load(f)
 rows = {r["label"]: r for r in chaos["rows"]}
+COMMITTED_ENGINE_KILLED_S = {
+    "engine_kill_prefetch": 0.028781, "engine_kill_chain": 0.028781,
+    "engine_kill_steal": 0.028781, "engine_kill_barrier": 0.028795}
 worst = {"engine": 0.0, "pipeline": 0.0}
 for label, row in rows.items():
     execu = "engine" if row["params"]["engine"] else "pipeline"
@@ -165,11 +179,17 @@ for label, row in rows.items():
             f"chaos/{label}: fault-free arm reported recovery activity"
         continue
     overhead = row["params"]["overhead_vs_faultfree"]
-    bar = 1.5 if execu == "engine" else 2.0
-    assert overhead <= bar, (
+    assert overhead <= 2.0, (
         f"chaos/{label}: recovery overhead {overhead:.3f}x exceeds the "
-        f"{bar}x {execu} bar")
+        f"2x bar")
     worst[execu] = max(worst[execu], overhead)
+    if label in COMMITTED_ENGINE_KILLED_S and \
+            row["params"]["n"] == 512:  # the committed rows are smoke-sized
+        assert row["metrics"]["elapsed_s"] <= \
+            COMMITTED_ENGINE_KILLED_S[label], (
+            f"chaos/{label}: {row['metrics']['elapsed_s']*1e3:.2f} ms is "
+            f"slower than the committed "
+            f"{COMMITTED_ENGINE_KILLED_S[label]*1e3:.2f} ms")
     if label == "pipeline_kill_steal":
         # The pipeline never reaches a steal point, so this kill never
         # trips: the arm pays replication but performs no adoption.
@@ -178,9 +198,17 @@ for label, row in rows.items():
     else:
         assert c["tasks_adopted"] > 0, \
             f"chaos/{label}: killed arm adopted nothing"
+# Fault-free, the engine must keep pace with the paper's pipeline: steal
+# admission stops thieves that are idle only in real time from stalling
+# their victims (docs/ENGINE.md §3), so the 5% slack is jitter only.
+ff = {e: rows[f"{e}_faultfree"]["metrics"]["elapsed_s"]
+      for e in ("engine", "pipeline")}
+assert ff["engine"] <= 1.05 * ff["pipeline"], (
+    f"chaos: fault-free engine {ff['engine']*1e3:.2f} ms trails the "
+    f"pipeline's {ff['pipeline']*1e3:.2f} ms by more than 5%")
 print(f"BENCH_chaos.json: domain-death acceptance bar ok "
-      f"(worst engine {worst['engine']:.2f}x <= 1.5x, "
-      f"worst pipeline {worst['pipeline']:.2f}x <= 2x)")
+      f"(worst engine {worst['engine']:.2f}x, "
+      f"worst pipeline {worst['pipeline']:.2f}x, both <= 2x)")
 
 # BENCH_scale.json carries the harness-speed acceptance bar (ISSUE 10,
 # docs/HARNESS.md): at 1024 ranks the pooled harness must simulate >= 3x

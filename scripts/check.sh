@@ -25,7 +25,9 @@
 #       bitwise identical and the steal ledger must reconcile
 #       (test_block_cache is excluded: its single-flight sharing test
 #       pins the pipeline's fetch schedule, which the engine's
-#       operand-slot dedup legitimately changes);
+#       operand-slot dedup legitimately changes); then test_engine 10x
+#       under 4-way parallel load at 1 and at 3 harness workers, where
+#       real-time steal races actually happen;
 #   1h. the static plan analyzer (docs/ANALYSIS.md): srumma-analyze must
 #       certify a sweep of clean configurations with zero findings, flag
 #       all five seeded plan-mutation classes, and cross-validate the
@@ -186,6 +188,27 @@ echo "== tier 1g: dependency-driven engine across the multiply suites =="
 # stays a pipeline-only suite.
 SRUMMA_ENGINE=1 ctest --test-dir "$build" --output-on-failure \
   -R '^(test_engine|test_srumma|test_task_plan|test_fault_recovery|test_integration|test_rma_checker)$'
+# Steal admission races in real time, so its guarantees (no owner ever
+# waits on a thief, engine time on par with the pipeline) only get
+# stressed under load: 10 rounds of 4 parallel test_engine copies, at one
+# harness worker and at three.
+for threads in 1 3; do
+  pids=()
+  for copy in 1 2 3 4; do
+    (
+      for round in $(seq 10); do
+        SRUMMA_ENGINE=1 SRUMMA_HARNESS_THREADS="$threads" \
+          "$build/tests/test_engine" > /dev/null || exit 1
+      done
+    ) &
+    pids+=("$!")
+  done
+  for pid in "${pids[@]}"; do
+    wait "$pid" || { echo "check.sh: test_engine failed under load" \
+                          "(SRUMMA_HARNESS_THREADS=$threads)"; exit 1; }
+  done
+done
+echo "engine: test_engine passed 40x at 1 and 40x at 3 harness workers"
 
 echo
 echo "== tier 1h: static plan analyzer + happens-before cross-check =="

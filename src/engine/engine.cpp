@@ -8,6 +8,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -36,14 +37,16 @@ namespace {
 
 // One stealable task posted by its owner.  All claim/handback fields are
 // guarded by the owning domain's mutex; `task`, `task_idx`, `victim`,
-// `tile`, `pos` and `c_tile` are immutable after the owner registers its
-// board.
+// `tile`, `pos`, `work_vt`, `src_nodes` and `c_tile` are immutable after
+// the owner registers its board.
 struct StolenTask {
   Task task;
   std::size_t task_idx = 0;  // owner's plan index (trace arg)
   int victim = -1;
   int tile = -1;  // owner tile id, indexes the owner's commit chain
   int pos = 0;    // position in that tile's in-plan-order commit chain
+  double work_vt = 0.0;  // modeled steal cost, see StealBid::work_vt
+  std::array<int, 2> src_nodes{-1, -1};  // nodes the operands cross from
   MatrixView c_tile;  // owner's C tile (empty in phantom mode)
   // -- claim state, under the domain mutex ---------------------------------
   int thief = -1;  // -1 free; the owner self-claims at issue time
@@ -58,6 +61,11 @@ struct StolenTask {
 struct RankBoard {
   std::vector<int> commits;       // tile -> products committed so far
   std::vector<double> commit_vt;  // tile -> virtual time of latest commit
+  // Victim horizon: a lower bound on when the owner can next run its own
+  // work (its clock, raised to the earliest operand landing of its chain
+  // heads).  Only ever rises, so a thief reading a stale value errs
+  // towards denying the steal.
+  double horizon = 0.0;
   std::vector<StolenTask> descs;  // stable: never resized after registration
   std::deque<std::size_t> pool;   // indices into descs, not yet thief-claimed
 };
@@ -147,6 +155,45 @@ void charge_shm_copy(Rank& me, std::uint64_t bytes) {
   me.trace().bytes_shm += bytes;
 }
 
+// Uncontended modeled time to fetch one operand patch, mirroring acquire()
+// and RmaRuntime::transfer: read in place costs nothing (but may slow the
+// dgemm, folded into `rate_factor`), out-of-domain bytes pay the request
+// latency plus wire time on the owner's link (straggler factor included),
+// in-domain bytes a local copy.  The block cache is ignored, so a hit
+// only makes the estimate pessimistic.  `src_node` receives the node the
+// remote bytes come from (-1 when there are none).
+double fetch_estimate(Rank& me, DistMatrix& mat, index_t i0, index_t j0,
+                      index_t mi, index_t nj, ShmFlavor flavor,
+                      double& rate_factor, int& src_node) {
+  const MachineModel& mm = me.machine();
+  fault::FaultPlane* fp = me.team().faults();
+  if (flavor == ShmFlavor::Direct) {
+    const std::optional<int> owner =
+        mat.single_owner_in_domain(me, i0, j0, mi, nj);
+    if (owner.has_value() &&
+        (fp == nullptr || !fp->direct_faults(mm.domain_of(*owner)))) {
+      rate_factor = std::min(rate_factor, mm.node_of(*owner) == me.node()
+                                              ? 1.0
+                                              : mm.remote_direct_rate_factor);
+      return 0.0;
+    }
+  }
+  const double total = static_cast<double>(mi) * static_cast<double>(nj) *
+                       sizeof(double);
+  const double remote =
+      static_cast<double>(mat.remote_piece_bytes(me, i0, j0, mi, nj));
+  double t = mm.rma_issue_overhead;
+  if (remote > 0.0) {
+    src_node = mm.node_of(mat.rect_primary_owner(i0, j0));
+    double wire = remote / mm.net_bw;
+    if (!mat.rma().zero_copy()) wire += remote / mm.host_copy_bw;
+    if (fp != nullptr) wire *= fp->link_delay(src_node, me.node());
+    t += mm.net_latency + wire;
+  }
+  if (total > remote) t += mm.shm_latency + (total - remote) / mm.shm_bw;
+  return t;
+}
+
 void copy_tile(MatrixView dst, ConstMatrixView src) {
   for (index_t j = 0; j < dst.cols(); ++j)
     for (index_t i = 0; i < dst.rows(); ++i) dst(i, j) = src(i, j);
@@ -182,6 +229,11 @@ std::vector<std::size_t> stealable_tasks(const TaskPlan& plan,
   for (std::size_t i = 0; i < plan.tasks.size(); ++i)
     if (!plan.tasks[i].in_domain()) out.push_back(i);
   return out;
+}
+
+bool steal_admitted(const StealBid& bid) {
+  if (bid.pos != bid.cursor) return false;
+  return std::max(bid.thief_now, bid.pred_vt) + bid.work_vt <= bid.horizon;
 }
 
 bool selected(EngineMode mode) {
@@ -275,21 +327,35 @@ void run_plan(Rank& me, DistMatrix& a, DistMatrix& b, DistMatrix& c,
   // Stealable = any task with an out-of-domain operand (the thief refetches
   // operands itself, so only remote-fetch work is worth exporting).  On
   // single-domain machines every task is in-domain and the board stays
-  // empty.
+  // empty.  Each descriptor carries what stealing it would cost in virtual
+  // time: thief and owner share a node, so the owner's estimate is the
+  // thief's.
   auto board = std::make_shared<RankBoard>();
   board->commits.assign(static_cast<std::size_t>(n_tiles), 0);
   board->commit_vt.assign(static_cast<std::size_t>(n_tiles), 0.0);
+  board->horizon = me.clock().now();
   std::vector<std::ptrdiff_t> desc_of_task(n_tasks, -1);
   for (const std::size_t i : stealable_tasks(plan, mm.domain_size())) {
+    const Task& t = tasks[i];
     StolenTask d;
-    d.task = tasks[i];
+    d.task = t;
     d.task_idx = i;
     d.victim = me.id();
     d.tile = task_tile[i];
     d.pos = task_pos[i];
-    if (!phantom)
-      d.c_tile = c.local_view(me).block(tasks[i].ci, tasks[i].cj,
-                                        tasks[i].cm, tasks[i].cn);
+    double rate = 1.0;
+    const double fetch =
+        fetch_estimate(me, a, t.a_i0, t.a_j0, t.a_m, t.a_n, opt.shm_flavor,
+                       rate, d.src_nodes[0]) +
+        fetch_estimate(me, b, t.b_i0, t.b_j0, t.b_m, t.b_n, opt.shm_flavor,
+                       rate, d.src_nodes[1]);
+    const double tile_copy =
+        mm.shm_latency + static_cast<double>(t.cm) *
+                             static_cast<double>(t.cn) * sizeof(double) /
+                             mm.shm_bw;
+    d.work_vt =
+        2.0 * tile_copy + fetch + mm.dgemm.time(t.cm, t.cn, t.kk) / rate;
+    if (!phantom) d.c_tile = c.local_view(me).block(t.ci, t.cj, t.cm, t.cn);
     desc_of_task[i] = static_cast<std::ptrdiff_t>(board->descs.size());
     board->descs.push_back(std::move(d));
   }
@@ -424,8 +490,10 @@ void run_plan(Rank& me, DistMatrix& a, DistMatrix& b, DistMatrix& c,
   const auto commit = [&](int tile) {
     {
       std::lock_guard<std::mutex> lk(dom.mu);
+      const double now = me.clock().now();
       board->commits[static_cast<std::size_t>(tile)] += 1;
-      board->commit_vt[static_cast<std::size_t>(tile)] = me.clock().now();
+      board->commit_vt[static_cast<std::size_t>(tile)] = now;
+      board->horizon = std::max(board->horizon, now);
     }
     dom.cv.notify_all();
     ++committed;
@@ -450,52 +518,71 @@ void run_plan(Rank& me, DistMatrix& a, DistMatrix& b, DistMatrix& c,
   // -- thief side ------------------------------------------------------------
   // Claim a stealable task from a domain mate, fetch its operands on our
   // own clock and fault stream, seed a scratch tile with the owner's
-  // current C tile (after its predecessor products committed), run the
-  // product, and publish the finished tile for the owner to commit.
-  const auto try_steal = [&](bool allow_ahead) -> bool {
+  // current C tile, run the product, and publish the finished tile for the
+  // owner to commit.
+  const auto try_steal = [&]() -> bool {
     trip(fault::KillPoint::Steal);
     if (killed_now()) return false;
     StolenTask* d = nullptr;
-    std::shared_ptr<RankBoard> vb;
+    std::shared_ptr<RankBoard> vb;  // keeps *d alive if the victim unwinds
+    double pred_vt = 0.0;
+    int denied_victim = -1;
     {
       std::lock_guard<std::mutex> lk(dom.mu);
-      // Scan mates starting past my own id so thieves spread out.  Prefer
-      // commit-ready tasks (the next product of their tile's chain) — the
-      // predecessor sync below is then free.  Only the post-plan drain may
-      // claim ahead-of-head tasks (a victim's early chain positions are
-      // often its in-domain, unstealable work): the predecessor wait then
-      // blocks, which is only deadlock-free once nobody can be waiting on
-      // OUR commits — two mid-plan ranks blocking on each other's frozen
-      // chains would deadlock.  Claimed entries are lazily discarded.
-      for (const bool ready_only : {true, false}) {
-        if (!ready_only && !allow_ahead) break;
-        auto it = dom.boards.upper_bound(me.id());
-        for (std::size_t step = 0; step < dom.boards.size() && d == nullptr;
-             ++step, ++it) {
-          if (it == dom.boards.end()) it = dom.boards.begin();
-          if (it->first == me.id()) continue;
-          RankBoard& rb = *it->second;
-          for (std::size_t p = rb.pool.size(); p-- > 0;) {
-            const std::size_t di = rb.pool[p];
-            StolenTask& cand = rb.descs[di];
-            if (cand.thief >= 0) {
-              rb.pool.erase(rb.pool.begin() + static_cast<std::ptrdiff_t>(p));
-              continue;
-            }
-            if (ready_only &&
-                rb.commits[static_cast<std::size_t>(cand.tile)] < cand.pos)
-              continue;
-            d = &cand;
-            d->thief = me.id();
-            vb = it->second;
+      // Scan mates starting past my own id so thieves spread out; claimed
+      // entries are lazily discarded.  Admission (steal_admitted) only
+      // passes the task at its tile's commit cursor, so the predecessor
+      // product has already committed and the thief never blocks on the
+      // victim — and because the claim gates the chain at exactly d->pos,
+      // the victim's C tile stays frozen until our handback commits.
+      const double now = me.clock().now();
+      NetworkState& net = me.team().network();
+      auto it = dom.boards.upper_bound(me.id());
+      for (std::size_t step = 0; step < dom.boards.size() && d == nullptr;
+           ++step, ++it) {
+        if (it == dom.boards.end()) it = dom.boards.begin();
+        if (it->first == me.id()) continue;
+        RankBoard& rb = *it->second;
+        for (std::size_t p = rb.pool.size(); p-- > 0;) {
+          const std::size_t di = rb.pool[p];
+          StolenTask& cand = rb.descs[di];
+          if (cand.thief >= 0) {
             rb.pool.erase(rb.pool.begin() + static_cast<std::ptrdiff_t>(p));
-            break;
+            continue;
           }
+          // The thief's gets queue behind whatever is already booked on
+          // the NICs they cross, so its fetch starts no earlier than those
+          // queue tails.
+          double start = now;
+          for (const int src : cand.src_nodes)
+            if (src >= 0)
+              start = std::max({start, net.nic_out(src).next_free(),
+                                net.nic_in(me.node()).next_free()});
+          const auto tile = static_cast<std::size_t>(cand.tile);
+          if (!steal_admitted({start, rb.commits[tile], cand.pos,
+                               rb.commit_vt[tile], cand.work_vt,
+                               rb.horizon})) {
+            if (denied_victim < 0) denied_victim = it->first;
+            continue;
+          }
+          d = &cand;
+          d->thief = me.id();
+          vb = it->second;
+          pred_vt = rb.commit_vt[tile];
+          rb.pool.erase(rb.pool.begin() + static_cast<std::ptrdiff_t>(p));
+          break;
         }
-        if (d != nullptr) break;
       }
     }
-    if (d == nullptr) return false;
+    if (d == nullptr) {
+      if (denied_victim >= 0) {
+        me.trace().steals_denied += 1;
+        if (tr != nullptr)
+          tr->instant(me.id(), trace::Phase::StealDenied, me.clock().now(),
+                      static_cast<std::uint64_t>(denied_victim));
+      }
+      return false;
+    }
 
     if (tr != nullptr)
       tr->instant(me.id(), trace::Phase::TaskSteal, me.clock().now(),
@@ -538,30 +625,8 @@ void run_plan(Rank& me, DistMatrix& a, DistMatrix& b, DistMatrix& c,
       tr->instant(me.id(), trace::Phase::TaskReady, me.clock().now(),
                   d->task_idx);
 
-    // Wait (real time) for the predecessor products of the owner's tile,
-    // then sync our clock to that commit: the tile bytes we copy exist only
-    // from that point in virtual time.  The owner cannot advance the tile
-    // PAST us (our claim gates its chain at exactly d->pos), so once the
-    // predicate holds the victim's C tile is frozen until our handback
-    // commits.  Progress is guaranteed: for any tile, the earliest
-    // uncommitted position is either owner-executable or held by a thief
-    // whose predicate is already satisfied.
-    {
-      std::unique_lock<std::mutex> lk(dom.mu);
-      park_until(lk, dom.cv, [&] {
-        return me.team().aborted() || killed_now() ||
-               vb->commits[static_cast<std::size_t>(d->tile)] >= d->pos;
-      });
-      if (me.team().aborted())
-        throw Error("engine: team aborted during steal");
-      // Fail-stop while parked: the victim (a domain mate, dead with us)
-      // will never commit the predecessor; discard the stolen work.
-      if (killed_now() &&
-          vb->commits[static_cast<std::size_t>(d->tile)] < d->pos)
-        return false;
-      const double pred_vt = vb->commit_vt[static_cast<std::size_t>(d->tile)];
-      if (pred_vt > me.clock().now()) me.clock().sync_to(pred_vt);
-    }
+    // The tile bytes we copy exist only from the predecessor's commit on.
+    if (pred_vt > me.clock().now()) me.clock().sync_to(pred_vt);
 
     const std::uint64_t tile_bytes = static_cast<std::uint64_t>(t.cm) *
                                      static_cast<std::uint64_t>(t.cn) *
@@ -777,10 +842,19 @@ void run_plan(Rank& me, DistMatrix& a, DistMatrix& b, DistMatrix& c,
         best_ready = r;
       }
     }
+    // Finished handbacks at chain heads: one published by my clock commits
+    // right away; one published in my virtual future waits behind every
+    // runnable own head.  That keeps the horizon sound: each head it was
+    // raised to executes before such a handback commits, so an admitted
+    // steal's publish is already in the past by then.
+    const double now = me.clock().now();
     StolenTask* ready_hb = nullptr;
+    StolenTask* late_hb = nullptr;
     bool pending_hb = false;
     {
       std::lock_guard<std::mutex> lk(dom.mu);
+      board->horizon =
+          std::max(board->horizon, best_own >= 0 ? best_ready : now);
       for (int tile = 0; tile < n_tiles; ++tile) {
         const auto& chain = tile_tasks[static_cast<std::size_t>(tile)];
         const int pos = board->commits[static_cast<std::size_t>(tile)];
@@ -790,11 +864,15 @@ void run_plan(Rank& me, DistMatrix& a, DistMatrix& b, DistMatrix& c,
         if (di < 0) continue;
         StolenTask& d = board->descs[static_cast<std::size_t>(di)];
         if (d.thief < 0 || d.thief == me.id()) continue;
-        if (d.done) {
+        if (!d.done) {
+          pending_hb = true;
+        } else if (d.publish_vt <= now) {
           ready_hb = &d;
           break;
+        } else if (late_hb == nullptr ||
+                   d.publish_vt < late_hb->publish_vt) {
+          late_hb = &d;
         }
-        pending_hb = true;
       }
     }
 
@@ -802,15 +880,15 @@ void run_plan(Rank& me, DistMatrix& a, DistMatrix& b, DistMatrix& c,
     // far in the virtual future that a whole stolen product fits in the
     // gap (the completion is known at issue time, so this is a real gap,
     // not a guess).
-    const bool idle = best_own < 0 && ready_hb == nullptr;
+    const bool idle =
+        best_own < 0 && ready_hb == nullptr && late_hb == nullptr;
     const bool far_head =
         best_own >= 0 &&
         best_ready >
-            me.clock().now() +
-                mm.dgemm.time(tasks[static_cast<std::size_t>(best_own)].cm,
-                              tasks[static_cast<std::size_t>(best_own)].cn,
-                              tasks[static_cast<std::size_t>(best_own)].kk);
-    if ((idle || far_head) && try_steal(false)) continue;
+            now + mm.dgemm.time(tasks[static_cast<std::size_t>(best_own)].cm,
+                                tasks[static_cast<std::size_t>(best_own)].cn,
+                                tasks[static_cast<std::size_t>(best_own)].kk);
+    if ((idle || far_head) && try_steal()) continue;
 
     if (ready_hb != nullptr) {
       handback(*ready_hb);
@@ -818,6 +896,10 @@ void run_plan(Rank& me, DistMatrix& a, DistMatrix& b, DistMatrix& c,
     }
     if (best_own >= 0) {
       execute(static_cast<std::size_t>(best_own));
+      continue;
+    }
+    if (late_hb != nullptr) {
+      handback(*late_hb);
       continue;
     }
     if (pending_hb) {
@@ -849,9 +931,9 @@ void run_plan(Rank& me, DistMatrix& a, DistMatrix& b, DistMatrix& c,
     SRUMMA_ASSERT(false, "engine: no runnable task and nothing in flight");
   }
 
-  // Own work done: drain whatever stealable work domain mates still have.
+  // Own work done: keep stealing from domain mates while admission allows.
   // (try_steal refuses immediately once this domain is killed.)
-  while (try_steal(true)) {
+  while (try_steal()) {
   }
 
   if (killed_now()) {

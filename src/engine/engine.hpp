@@ -24,7 +24,9 @@
 //     product into a scratch tile seeded with the owner's current C tile,
 //     and hand the finished tile back through shared memory.  The owner
 //     commits it at the task's plan position, so stealing never perturbs
-//     the numerics.
+//     the numerics.  A steal is admitted only when the thief's projected
+//     publish lands before the victim could run that work itself
+//     (steal_admitted), so a steal never stalls its victim.
 //
 // Because steal decisions race in real time, the *modeled timing* of an
 // engine run may vary run to run; the C result is structurally bitwise
@@ -63,6 +65,25 @@ struct ChainLayout {
 /// out-of-domain operand, on machines with more than one rank per domain.
 [[nodiscard]] std::vector<std::size_t> stealable_tasks(const TaskPlan& plan,
                                                        int domain_size);
+
+/// One steal candidate as the admission test sees it (virtual seconds).
+struct StealBid {
+  double thief_now = 0.0;  ///< the thief's clock
+  int cursor = 0;          ///< victim's commit count on the task's tile
+  int pos = 0;             ///< the task's position in that tile's chain
+  double pred_vt = 0.0;    ///< virtual time of the tile's latest commit
+  double work_vt = 0.0;    ///< 2 x tile copy + operand fetch + gemm
+  double horizon = 0.0;    ///< victim's lower bound on its next own work
+};
+
+/// Virtual-time steal admission (docs/ENGINE.md §3): a thief may claim a
+/// task only if its projected publish, max(thief_now, pred_vt) + work_vt,
+/// is no later than the victim's horizon — the earliest the victim could
+/// commit that position itself.  An ahead-of-cursor position is always
+/// denied: its predecessor commits no earlier than the horizon, so the
+/// thief's publish would land after it.  The horizon only ever rises, so a
+/// stale horizon can only deny.
+[[nodiscard]] bool steal_admitted(const StealBid& bid);
 
 /// Execute one rank's task plan through the engine.  Called from
 /// srumma_multiply after tuning, plan construction and the beta pre-scale;

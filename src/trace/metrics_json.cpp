@@ -88,6 +88,7 @@ std::string counters_json(const TraceCounters& t) {
      << ",\"cache_bytes_saved\":" << t.cache_bytes_saved
      << ",\"engine_tasks\":" << t.engine_tasks
      << ",\"tasks_stolen\":" << t.tasks_stolen
+     << ",\"steals_denied\":" << t.steals_denied
      << ",\"tasks_adopted\":" << t.tasks_adopted
      << "}";
   return os.str();

@@ -8,7 +8,7 @@ namespace srumma {
 // trace_delta below, operator+= (vtime/trace_counters.hpp) and
 // counters_json (trace/metrics_json.cpp), with its SUM/MAX aggregation
 // documented on the field.
-static_assert(sizeof(TraceCounters) == 38 * sizeof(double),
+static_assert(sizeof(TraceCounters) == 39 * sizeof(double),
               "TraceCounters changed — update trace_delta, operator+=, "
               "counters_json and the per-field aggregation comments");
 
@@ -52,6 +52,7 @@ TraceCounters trace_delta(const TraceCounters& end, const TraceCounters& start) 
   d.cache_bytes_saved = end.cache_bytes_saved - start.cache_bytes_saved;
   d.engine_tasks = end.engine_tasks - start.engine_tasks;
   d.tasks_stolen = end.tasks_stolen - start.tasks_stolen;
+  d.steals_denied = end.steals_denied - start.steals_denied;
   d.tasks_adopted = end.tasks_adopted - start.tasks_adopted;
   return d;
 }
@@ -109,7 +110,8 @@ std::string describe(const MultiplyResult& r) {
   }
   if (t.engine_tasks + t.tasks_stolen > 0) {
     os << ", engine: " << t.engine_tasks << " owner tasks / "
-       << t.tasks_stolen << " stolen";
+       << t.tasks_stolen << " stolen (" << t.steals_denied
+       << " steals denied)";
   }
   if (t.rma_domain_dead + t.tasks_adopted > 0) {
     os << ", fail-stop: " << t.rma_domain_dead << " ops drained dead, "

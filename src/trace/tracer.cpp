@@ -26,6 +26,7 @@ const char* phase_name(Phase p) {
     case Phase::TaskIssue: return "task issue";
     case Phase::TaskReady: return "task ready";
     case Phase::TaskSteal: return "task stolen";
+    case Phase::StealDenied: return "steal denied";
     case Phase::TaskRearm: return "task rearm";
     case Phase::Requeue: return "task requeue";
     case Phase::ShmFallback: return "shm fallback";

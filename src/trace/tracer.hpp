@@ -68,6 +68,8 @@ enum class Phase : std::uint8_t {
   TaskIssue,    ///< pipeline issued a task's fetches (arg = task index)
   TaskReady,    ///< engine task's operands all landed (arg = task index)
   TaskSteal,    ///< engine task claimed by an idle domain mate (arg = index)
+  StealDenied,  ///< steal attempt whose admission test denied every
+                ///< claimable task (arg = first denied victim's rank)
   TaskRearm,    ///< engine marked a task not-ready and re-armed its failed
                 ///< operand fetches (the engine's requeue replacement)
   Requeue,      ///< task re-enqueued at the tail after operand failure

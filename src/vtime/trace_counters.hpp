@@ -97,6 +97,10 @@ struct TraceCounters {
   /// commits the C tile, so every stolen task also appears in exactly one
   /// of copy_tasks/direct_tasks (again on the thief).
   std::uint64_t tasks_stolen = 0;
+  /// try_steal calls that saw claimable work on a mate's board but whose
+  /// virtual-time admission test denied every candidate (SUM; docs/ENGINE.md
+  /// §3) — the steals that would have stalled their victims.
+  std::uint64_t steals_denied = 0;
   /// Block products replayed by a survivor on behalf of a permanently dead
   /// domain's ranks, from the buddy replicas into scratch (SUM); each also
   /// appears in exactly one of copy_tasks/direct_tasks and in gemm_calls,
@@ -154,6 +158,7 @@ struct TraceCounters {
     cache_bytes_saved += o.cache_bytes_saved;
     engine_tasks += o.engine_tasks;
     tasks_stolen += o.tasks_stolen;
+    steals_denied += o.steals_denied;
     tasks_adopted += o.tasks_adopted;
     return *this;
   }

@@ -3,16 +3,18 @@
 // configuration (transposes, flavors, chunking, blocking mode, faults,
 // cache), reconcile its steal ledger exactly
 // (engine_tasks + tasks_stolen == copy_tasks + direct_tasks == gemm_calls),
-// re-arm failed fetches without requeues, and actually steal work from
-// straggler-bound domain mates.
+// re-arm failed fetches without requeues, and steal only what virtual-time
+// admission proves cannot stall the victim.
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "core/srumma.hpp"
 #include "engine/engine.hpp"
 #include "tests/helpers.hpp"
+#include "trace/tracer.hpp"
 
 namespace srumma {
 namespace {
@@ -33,14 +35,16 @@ struct EngineRun {
   Matrix c;
   MultiplyResult result;
   TraceCounters trace;
+  std::vector<std::vector<trace::TraceEvent>> events;  // per rank, if traced
 };
 
 EngineRun run_multiply(const MachineModel& mm, ProcGrid grid, index_t m,
                        index_t n, index_t k, const RmaConfig& cfg,
                        SrummaOptions opt, EngineMode mode,
-                       std::uint64_t seed) {
+                       std::uint64_t seed, bool traced = false) {
   opt.engine = mode;
   Team team(mm);
+  if (traced) team.enable_tracer(trace::TracerConfig{});
   RmaRuntime rma(team, cfg);
   const bool tra = opt.ta == Trans::Yes;
   const bool trb = opt.tb == Trans::Yes;
@@ -51,7 +55,7 @@ EngineRun run_multiply(const MachineModel& mm, ProcGrid grid, index_t m,
   Matrix c_init(m, n);
   fill_ints(c_init.view(), seed + 2);
 
-  EngineRun out{Matrix(m, n), {}, {}};
+  EngineRun out{Matrix(m, n), {}, {}, {}};
   team.run([&](Rank& me) {
     DistMatrix a(rma, me, a_g.rows(), a_g.cols(), grid);
     DistMatrix b(rma, me, b_g.rows(), b_g.cols(), grid);
@@ -64,7 +68,29 @@ EngineRun run_multiply(const MachineModel& mm, ProcGrid grid, index_t m,
     c.gather_to(me, out.c.view());
   });
   out.trace = team.total_trace();
+  if (traced)
+    for (int r = 0; r < team.size(); ++r) {
+      EXPECT_EQ(team.tracer_ptr()->dropped(r), 0u);
+      out.events.push_back(team.tracer_ptr()->events(r));
+    }
   return out;
+}
+
+// The admission guarantee: an owner never waits for a thief's publish, so
+// every Handback span is exactly the intra-domain copy of its C tile
+// (uncontended: latency + bytes / per-rank copy bandwidth).
+void expect_handbacks_are_copies(const EngineRun& run, const MachineModel& mm,
+                                 index_t tile_m, index_t tile_n) {
+  const double copy = mm.shm_latency + static_cast<double>(tile_m) *
+                                           static_cast<double>(tile_n) *
+                                           sizeof(double) / mm.shm_bw;
+  for (std::size_t r = 0; r < run.events.size(); ++r)
+    for (const trace::TraceEvent& e : run.events[r]) {
+      if (e.type == trace::EvType::Span && e.phase == trace::Phase::Handback) {
+        EXPECT_NEAR(e.t1 - e.t0, copy, 1e-9 * copy)
+            << "rank " << r << " waited on the thief of task " << e.arg;
+      }
+    }
 }
 
 // The reconciliation identities every engine run must satisfy exactly.
@@ -176,12 +202,13 @@ TEST(Engine, BitwiseIdenticalToPipelineAcrossConfigs) {
   }
 }
 
-TEST(Engine, StragglerNodeTriggersStealsThatReconcile) {
+TEST(Engine, StragglerStealsReconcileWithoutStallingVictims) {
   // Two dual-CPU nodes with node 1's links 8x slow: node 1's ranks see
-  // their remote fetches land far in the virtual future, so each should
-  // export work to its domain mate (and the fast node's ranks drain their
-  // mates' pools when they run out of own work).  The stolen products must
-  // still land bitwise-identically, with the ledger exact.
+  // their remote fetches land far in the virtual future, which raises
+  // their horizons and lets a domain mate steal into the gap.  Whether a
+  // steal happens at all depends on real-time interleaving; what admission
+  // guarantees regardless is that no owner ever waits on a thief, the
+  // stolen products land bitwise-identically, and the ledger is exact.
   fault::FaultConfig f;
   f.seed = 5;
   f.straggler_node = 1;
@@ -196,11 +223,73 @@ TEST(Engine, StragglerNodeTriggersStealsThatReconcile) {
   EngineRun off = run_multiply(MachineModel::linux_myrinet(2), ProcGrid{2, 2},
                                n, n, n, cfg, opt, EngineMode::Off, 21);
   EngineRun on = run_multiply(MachineModel::linux_myrinet(2), ProcGrid{2, 2},
-                              n, n, n, cfg, opt, EngineMode::On, 21);
+                              n, n, n, cfg, opt, EngineMode::On, 21, true);
   EXPECT_EQ(max_abs_diff(on.c.view(), off.c.view()), 0.0);
   expect_engine_ledger(on.trace, "straggler-steal");
-  EXPECT_GT(on.trace.tasks_stolen, 0u);
   EXPECT_GT(on.trace.engine_tasks, 0u);
+  expect_handbacks_are_copies(on, MachineModel::linux_myrinet(2), 8, 8);
+}
+
+TEST(Engine, StealAdmissionPredicate) {
+  // A victim with horizon 0.625 whose tile chain sits at position 2, last
+  // commit at 0.5; stealing costs 0.25 of virtual work.  (Binary-exact
+  // values, so the inclusive bound below is tested exactly.)
+  engine::StealBid bid;
+  bid.cursor = 2;
+  bid.pos = 2;
+  bid.pred_vt = 0.5;
+  bid.work_vt = 0.25;
+  bid.horizon = 0.625;
+  // A thief whose publish lands after the victim's horizon is denied.
+  bid.thief_now = 0.5;
+  EXPECT_FALSE(engine::steal_admitted(bid));
+  bid.thief_now = 0.25;  // the predecessor commit still gates the publish
+  EXPECT_FALSE(engine::steal_admitted(bid));
+  // One whose publish lands by the horizon is admitted (the bound is
+  // inclusive: publishing exactly at the horizon stalls nobody).
+  bid.horizon = 0.75;
+  EXPECT_TRUE(engine::steal_admitted(bid));
+  bid.horizon = 4.0;
+  bid.thief_now = 3.5;
+  EXPECT_TRUE(engine::steal_admitted(bid));
+
+  // A single-tile chain of 8 products: no claim ahead of the cursor is
+  // ever admitted, however early the thief and however late the horizon.
+  for (int cursor = 0; cursor < 8; ++cursor)
+    for (int pos = cursor + 1; pos < 8; ++pos) {
+      const engine::StealBid ahead{0.0, cursor, pos, 0.0, 1e-6, 1e9};
+      EXPECT_FALSE(engine::steal_admitted(ahead))
+          << "cursor " << cursor << " pos " << pos;
+    }
+}
+
+TEST(Engine, PooledPhantomEngineMatchesPipelineTime) {
+  // Four dual Myrinet nodes on one harness worker: every rank's plan runs
+  // to completion inside a fiber slice, so without admission the first
+  // ranks to finish in real time steal ahead-of-cursor work from mates
+  // that are far behind in virtual time and freeze their commit chains.
+  // Admission denies those steals; the engine must not trail the pipeline.
+  const MachineModel mm = MachineModel::linux_myrinet(4);
+  const index_t n = 512;
+  const auto elapsed = [&](EngineMode mode) {
+    Team team(mm);
+    team.set_execution(ExecMode::Pooled, 1);
+    RmaRuntime rma(team);
+    SrummaOptions opt;
+    opt.engine = mode;
+    const ProcGrid g = ProcGrid::near_square(team.size());
+    team.run([&](Rank& me) {
+      DistMatrix a(rma, me, n, n, g, true);
+      DistMatrix b(rma, me, n, n, g, true);
+      DistMatrix c(rma, me, n, n, g, true);
+      (void)srumma_multiply(me, a, b, c, opt);
+    });
+    return team.max_clock();
+  };
+  const double pipeline = elapsed(EngineMode::Off);
+  const double engine = elapsed(EngineMode::On);
+  EXPECT_LE(engine, 1.001 * pipeline)
+      << "pipeline " << pipeline << " vs, engine " << engine << " vs";
 }
 
 TEST(Engine, SingleDomainNeverSteals) {
