@@ -5,8 +5,9 @@
 //
 // "BM_GemmBlocked" exercises whatever kernel dispatch selected (honouring
 // SRUMMA_GEMM_KERNEL); the dynamically registered "BM_GemmKernel/<name>/<n>"
-// series pins each supported kernel in turn so they can be compared in one
-// run.
+// (squares) and "BM_GemmKernel/<name>/NN|TN" (end-to-end workload block
+// shapes) series pin each supported kernel in turn so they can be compared
+// in one run.
 
 #include <benchmark/benchmark.h>
 
@@ -100,7 +101,7 @@ void BM_GemmPanel(benchmark::State& state) {
 BENCHMARK(BM_GemmPanel)->Args({256, 64})->Args({256, 128})->Args({512, 128});
 
 // One square-gemm series per registered kernel, pinned explicitly so a
-// single run reports scalar vs portable vs avx2 side by side.
+// single run reports scalar vs avx2 vs avx512 side by side.
 void BM_GemmKernel(benchmark::State& state, const GemmKernel* kern) {
   const index_t n = state.range(0);
   Matrix a, b, c;
@@ -114,6 +115,28 @@ void BM_GemmKernel(benchmark::State& state, const GemmKernel* kern) {
   set_gflops(state, gemm_flops(n, n, n));
 }
 
+// Per-kernel series on the block products the real-data end-to-end
+// workloads run (bench/e2e): C(m x n) += op(A)(m x k) * B(k x n), as one
+// SRUMMA task does.  Args are {m, n, k}.
+void BM_GemmKernelPanel(benchmark::State& state, const GemmKernel* kern,
+                        Trans ta) {
+  const index_t m = state.range(0);
+  const index_t n = state.range(1);
+  const index_t k = state.range(2);
+  const index_t a_rows = ta == Trans::No ? m : k;
+  Matrix a(a_rows, ta == Trans::No ? k : m), b(k, n), c(m, n);
+  srumma::fill_random(a.view(), 3);
+  srumma::fill_random(b.view(), 4);
+  for (auto _ : state) {
+    srumma::blas::gemm_blocked_with(*kern, ta, Trans::No, m, n, k, 1.0,
+                                    a.data(), a_rows, b.data(), k, 1.0,
+                                    c.data(), m);
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  set_gflops(state, gemm_flops(m, n, k));
+}
+
 void register_per_kernel_benches() {
   for (const GemmKernel* kern : srumma::blas::kernel_registry()) {
     if (!kern->supported()) continue;
@@ -122,6 +145,13 @@ void register_per_kernel_benches() {
         ->Arg(256)
         ->Arg(512)
         ->Arg(1024);
+    // cluster_nn_real's task shape, then sp_tn_engine_cache_real's.
+    benchmark::RegisterBenchmark((name + "/NN").c_str(), BM_GemmKernelPanel,
+                                 kern, Trans::No)
+        ->Args({1024, 512, 128});
+    benchmark::RegisterBenchmark((name + "/TN").c_str(), BM_GemmKernelPanel,
+                                 kern, Trans::Yes)
+        ->Args({256, 512, 64});
   }
 }
 

@@ -2,7 +2,10 @@
 # Tier-1 verification wrapper (see docs/CHECKING.md for the full matrix):
 #   1.  configure + build + full ctest suite (Release);
 #   1b. an ASan/UBSan build of the library + kernel-verification harness,
-#       running test_gemm_kernels under the sanitizers;
+#       running test_gemm_kernels under the sanitizers; then the dispatch
+#       guard (an AVX-512 host must auto-select the avx512 kernel) and the
+#       multiply suites pinned to the avx2 kernel, which auto-selection no
+#       longer picks on such hosts;
 #   1c. the full suite again with the shadow-state RMA checker enabled
 #       (SRUMMA_RMA_CHECK=1) — any diagnostic fails the run;
 #   1d. the fault matrix (docs/FAULTS.md): the dedicated fault suites
@@ -71,13 +74,30 @@ cmake --build "$build" -j "$jobs"
 ctest --test-dir "$build" --output-on-failure -j "$jobs"
 
 echo
-echo "== tier 1b: kernel harness under ASan/UBSan ($asan_build) =="
+echo "== tier 1b: kernel harness under ASan/UBSan ($asan_build), dispatch =="
 cmake -B "$asan_build" -S "$repo" \
   -DSRUMMA_SANITIZE=address,undefined \
   -DSRUMMA_BUILD_BENCH=OFF \
   -DSRUMMA_BUILD_EXAMPLES=OFF
 cmake --build "$asan_build" -j "$jobs" --target test_gemm_kernels
 ctest --test-dir "$asan_build" --output-on-failure -R '^test_gemm_kernels$'
+# A silently failed -mavx512f probe would drop the kernel from the registry
+# and fall back to avx2 without any test failing; catch it here.
+if grep -qw avx512f /proc/cpuinfo 2> /dev/null; then
+  kernel="$(env -u SRUMMA_GEMM_KERNEL "$build/examples/quickstart" \
+              --n 96 --nodes 2 | sed -n 's/^serial dgemm kernel: //p')"
+  if [[ "$kernel" != avx512 ]]; then
+    echo "check.sh: CPU has avx512f but dispatch picked '$kernel'"
+    exit 1
+  fi
+  echo "dispatch: avx512 auto-selected"
+fi
+if grep -qw avx2 /proc/cpuinfo 2> /dev/null; then
+  SRUMMA_GEMM_KERNEL=avx2 ctest --test-dir "$build" --output-on-failure \
+    -R '^(test_srumma|test_engine|test_integration)$'
+else
+  echo "check.sh: CPU lacks avx2, skipping the avx2-pinned multiply suites"
+fi
 
 echo
 echo "== tier 1c: full suite with the RMA checker enabled ($build) =="

@@ -7,7 +7,7 @@
 //   * gemm_naive   — straightforward triple loop; the correctness oracle.
 //   * gemm_blocked — cache-blocked, packed-panel driver; the default.  Its
 //     register-tile micro-kernel is selected at runtime from the kernel
-//     registry (scalar / portable / avx2 — see blas/kernel.hpp), pinnable
+//     registry (scalar / avx2 / avx512 — see blas/kernel.hpp), pinnable
 //     via the SRUMMA_GEMM_KERNEL environment variable.
 // Both follow BLAS semantics: C = alpha*op(A)*op(B) + beta*C with
 // column-major storage and explicit leading dimensions.

@@ -6,7 +6,7 @@
 // into a kernel-independent packing/blocking skeleton and a per-ISA
 // register-tile micro-kernel described by GemmKernel.  Kernels are selected
 // once at startup: the SRUMMA_GEMM_KERNEL environment variable if set
-// (scalar | portable | avx2; "auto" or unset picks the highest-priority
+// (scalar | avx2 | avx512; "auto" or unset picks the highest-priority
 // kernel this CPU supports via __builtin_cpu_supports).  Tests and benches
 // can pin a kernel programmatically with set_active_kernel() or run one
 // explicitly with gemm_blocked_with().
@@ -43,7 +43,7 @@ using EdgeKernelFn = void (*)(index_t kc, const double* ap, const double* bp,
 /// it.  All instances have static storage duration; pointers returned by
 /// the registry are valid for the program lifetime.
 struct GemmKernel {
-  const char* name;     ///< dispatch key: "scalar", "portable", "avx2", ...
+  const char* name;     ///< dispatch key: "scalar", "avx2", "avx512", ...
   index_t mr, nr;       ///< register tile footprint
   index_t mc, kc, nc;   ///< cache blocking (A panel mc x kc, B panel kc x nc)
   MicroKernelFn full;   ///< full mr x nr tile
@@ -85,7 +85,6 @@ void reset_pack_buffers();
 
 namespace detail {
 const GemmKernel& scalar_kernel();
-const GemmKernel& portable_kernel();
 }  // namespace detail
 
 }  // namespace srumma::blas

@@ -14,19 +14,24 @@
 
 namespace srumma::blas {
 
-#if defined(SRUMMA_HAVE_AVX2_KERNEL)
 namespace detail {
+#if defined(SRUMMA_HAVE_AVX2_KERNEL)
 const GemmKernel& avx2_kernel();
-}  // namespace detail
 #endif
+#if defined(SRUMMA_HAVE_AVX512_KERNEL)
+const GemmKernel& avx512_kernel();
+#endif
+}  // namespace detail
 
 const std::vector<const GemmKernel*>& kernel_registry() {
   static const std::vector<const GemmKernel*> registry = [] {
     std::vector<const GemmKernel*> v;
     v.push_back(&detail::scalar_kernel());
-    v.push_back(&detail::portable_kernel());
 #if defined(SRUMMA_HAVE_AVX2_KERNEL)
     v.push_back(&detail::avx2_kernel());
+#endif
+#if defined(SRUMMA_HAVE_AVX512_KERNEL)
+    v.push_back(&detail::avx512_kernel());
 #endif
     return v;
   }();

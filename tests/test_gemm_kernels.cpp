@@ -116,6 +116,22 @@ TEST_P(KernelVerification, CrossesCacheBlockBoundaries) {
              Trans::Yes, 1.0);
 }
 
+TEST_P(KernelVerification, EveryEdgeTileShape) {
+  // Every live corner the edge path can see, mr_eff in [1, mr] x nr_eff in
+  // [1, nr], each next to a full tile and with k crossing kc, so masked or
+  // partial tails are exercised at every lane count and both pc trips.
+  const blas::GemmKernel& kern = *GetParam();
+  Rng rng(1312);
+  for (Trans t : {Trans::No, Trans::Yes}) {
+    for (index_t mr_eff = 1; mr_eff <= kern.mr; ++mr_eff) {
+      for (index_t nr_eff = 1; nr_eff <= kern.nr; ++nr_eff) {
+        check_case(kern, rng, kern.mr + mr_eff, kern.nr + nr_eff,
+                   kern.kc + 3, t, t, 1.0);
+      }
+    }
+  }
+}
+
 TEST_P(KernelVerification, DeterministicRunToRun) {
   // The same call must produce bit-identical output (no uninitialized
   // packing lanes can leak into results).
@@ -140,9 +156,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(KernelRegistry, BaselineKernelsAlwaysPresent) {
   ASSERT_NE(blas::find_kernel("scalar"), nullptr);
-  ASSERT_NE(blas::find_kernel("portable"), nullptr);
   EXPECT_TRUE(blas::find_kernel("scalar")->supported());
-  EXPECT_TRUE(blas::find_kernel("portable")->supported());
   EXPECT_EQ(blas::find_kernel("no-such-kernel"), nullptr);
   for (const blas::GemmKernel* k : blas::kernel_registry()) {
     EXPECT_GT(k->mr, 0);
@@ -150,6 +164,19 @@ TEST(KernelRegistry, BaselineKernelsAlwaysPresent) {
     EXPECT_EQ(k->mc % k->mr, 0) << k->name << ": mc must be a multiple of mr";
     EXPECT_EQ(k->nc % k->nr, 0) << k->name << ": nc must be a multiple of nr";
   }
+}
+
+TEST(KernelRegistry, AutoSelectsHighestPrioritySupportedKernel) {
+  const char* env = std::getenv("SRUMMA_GEMM_KERNEL");
+  if (env != nullptr && std::string(env) != "auto")
+    GTEST_SKIP() << "SRUMMA_GEMM_KERNEL pins the dispatch to " << env;
+  const blas::GemmKernel* best = nullptr;
+  for (const blas::GemmKernel* k : blas::kernel_registry()) {
+    if (k->supported() && (best == nullptr || k->priority > best->priority))
+      best = k;
+  }
+  ASSERT_NE(best, nullptr);
+  EXPECT_STREQ(blas::active_kernel().name, best->name);
 }
 
 TEST(KernelRegistry, PinAndRestoreActiveKernel) {
