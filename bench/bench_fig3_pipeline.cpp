@@ -11,7 +11,7 @@
 #include <iostream>
 
 #include "bench/common.hpp"
-#include "vtime/timeline.hpp"
+#include "trace/profile.hpp"
 
 namespace srumma::bench {
 namespace {
@@ -20,7 +20,9 @@ void run_arm(const std::string& label, bool nonblocking,
              std::optional<bool> cache, MetricsLog& log) {
   const index_t n = smoke_n(1536, 192);
   Team team(MachineModel::linux_myrinet(4));  // 8 ranks
-  team.enable_timeline();
+  // The Gantt is drawn from the tracer's spans.  A tracer armed by
+  // SRUMMA_TRACE is kept, so its Chrome trace is still written.
+  if (team.tracer_ptr() == nullptr) team.enable_tracer({});
   RmaRuntime rma(team, cache_rma_config(cache));
   const ProcGrid g = ProcGrid::near_square(team.size());
   MultiplyResult out;
@@ -38,7 +40,7 @@ void run_arm(const std::string& label, bool nonblocking,
   std::cout << label << " — " << TableWriter::num(out.gflops, 1)
             << " GFLOP/s, overlap "
             << TableWriter::num(out.overlap * 100.0, 1) << "%\n";
-  team.timeline()->print_gantt(std::cout, 0.0, 0.0, 100, 4);
+  print_gantt(std::cout, *team.tracer_ptr(), 0.0, 0.0, 100, 4);
   std::cout << "\n";
   trace::NumberMap params{{"n", static_cast<double>(n)},
                           {"ranks", static_cast<double>(team.size())},

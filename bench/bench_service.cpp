@@ -18,8 +18,8 @@
 // is where the service earns its keep.  Expected: >= 1.5x jobs/s for the
 // concurrent arm, with lower p50 latency and higher utilization.
 //
-// Emits srumma-service-metrics/1 (NOT the srumma-bench-metrics/1 schema of
-// the multiply benches — jobs/s and latency percentiles, not GFLOP/s).
+// Emits srumma-bench-metrics/1 with one row per arm whose metrics are the
+// ServiceMetrics fields (jobs/s and latency percentiles, not GFLOP/s).
 
 #include <cmath>
 #include <iostream>
@@ -135,7 +135,7 @@ int main() {
 
   TableWriter table({"arm", "jobs/s", "p50 ms", "p99 ms", "mean wait ms",
                      "util", "batches", "deadline misses"});
-  std::vector<ServiceArm> emit;
+  MetricsLog log("service");
   for (const Arm& a : arms) {
     const ServiceMetrics& m = a.metrics;
     table.add_row({a.label, TableWriter::num(m.jobs_per_s, 1),
@@ -154,7 +154,8 @@ int main() {
         {"batch_max", static_cast<double>(cfg.batch_max)},
         {"serialize", a.label == "serial" ? 1.0 : 0.0},
     };
-    emit.push_back({a.label, std::move(params), m, a.wall});
+    log.add_metrics(a.label, metrics_map(m), std::move(params), a.wall,
+                    m.window);
   }
   table.print(std::cout, "Linux cluster, 8 dual nodes (16 ranks), " +
                              std::to_string(jobs) +
@@ -168,5 +169,5 @@ int main() {
             << "Expected shape: >= 1.5x jobs/s for the concurrent arm — "
                "small multiplies are latency-bound and cannot use 16 ranks, "
                "so packing right-sized sub-teams beats job-at-a-time.\n";
-  return write_service_metrics_env("service", emit) ? 0 : 1;
+  return log.write_env() ? 0 : 1;
 }

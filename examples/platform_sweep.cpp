@@ -8,7 +8,6 @@
 
 #include <cstdio>
 #include <iostream>
-#include <sstream>
 #include <string>
 
 #include "baselines/summa.hpp"
@@ -45,7 +44,10 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) return 0;
 
   Team team(make_machine(cli.get("platform"), static_cast<int>(cli.get_int("cpus"))));
-  if (cli.get_bool("timeline")) team.enable_timeline();
+  // The Gantt is drawn from the tracer's spans.  A tracer armed by
+  // SRUMMA_TRACE is kept, so its Chrome trace is still written.
+  if (cli.get_bool("timeline") && team.tracer_ptr() == nullptr)
+    team.enable_tracer({});
   RmaRuntime rma(team);
   Comm comm(team);
   const ProcGrid grid = ProcGrid::near_square(team.size());
@@ -63,7 +65,7 @@ int main(int argc, char** argv) {
   dopt.tb = sopt.tb;
 
   MultiplyResult s, d;
-  std::ostringstream srumma_gantt;
+  double srumma_end = 0.0;  // where the SRUMMA-only Gantt window closes
   team.run([&](Rank& me) {
     const index_t am = tr ? k : n, an = tr ? n : k;
     const index_t bm = tr ? n : k, bn = tr ? k : n;
@@ -71,11 +73,10 @@ int main(int argc, char** argv) {
     DistMatrix b(rma, me, bm, bn, grid, true);
     DistMatrix c(rma, me, n, n, grid, true);
     MultiplyResult rs = srumma_multiply(me, a, b, c, sopt);
+    // Fence SRUMMA off from pdgemm: every pdgemm span starts at or after
+    // srumma_end, so the Gantt window [0, srumma_end] shows SRUMMA only.
     me.barrier();
-    if (me.id() == 0 && team.timeline() != nullptr) {
-      team.timeline()->print_gantt(srumma_gantt);  // SRUMMA only
-      team.timeline()->clear();
-    }
+    if (me.id() == 0) srumma_end = me.clock().now();
     me.barrier();
     MultiplyResult rd = pdgemm_model(me, comm, a, b, c, dopt);
     if (me.id() == 0) {
@@ -95,7 +96,7 @@ int main(int argc, char** argv) {
   }
   if (cli.get_bool("timeline")) {
     std::puts("\nSRUMMA virtual-time Gantt:");
-    std::cout << srumma_gantt.str();
+    print_gantt(std::cout, *team.tracer_ptr(), 0.0, srumma_end);
   }
   return 0;
 }

@@ -209,8 +209,6 @@ void Comm::send_blocking_rendezvous(Rank& me, int dst, int tag,
   const double before = me.clock().now();
   if (rv->completion > before) {
     me.trace().time_wait += rv->completion - before;
-    if (Timeline* tl = team_.timeline())
-      tl->record(me.id(), EventKind::Wait, before, rv->completion);
     if (trace::Tracer* tr = team_.tracer_ptr())
       tr->span(me.id(), trace::Phase::Wait, before, rv->completion);
   }
@@ -329,8 +327,6 @@ void Comm::wait(Rank& me, RecvHandle& h) {
   const double before = me.clock().now();
   if (completion > before) {
     me.trace().time_wait += completion - before;
-    if (Timeline* tl = team_.timeline())
-      tl->record(me.id(), EventKind::Wait, before, completion);
     if (trace::Tracer* tr = team_.tracer_ptr())
       tr->span(me.id(), trace::Phase::Wait, before, completion);
   }

@@ -317,7 +317,6 @@ RmaHandle RmaRuntime::nbget2d(Rank& me, int owner, const double* src,
   const std::size_t bytes =
       static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols) *
       sizeof(double);
-  const double issued = me.clock().now();
   RmaHandle h = transfer(me, owner, bytes, /*is_get=*/true);
   h.op.kind = ReplayOp::Kind::Get2d;
   h.op.owner = owner;
@@ -332,8 +331,6 @@ RmaHandle RmaRuntime::nbget2d(Rank& me, int owner, const double* src,
                                     shape(rows, cols, ld_src), dst,
                                     shape(rows, cols, ld_dst), site);
   }
-  if (Timeline* tl = team_.timeline())
-    tl->record(me.id(), EventKind::Get, issued, h.completion);
   if (!h.failed) {
     copy2d(src, ld_src, rows, cols, dst, ld_dst);
     if (h.corrupted && src != nullptr && dst != nullptr && rows > 0 &&
@@ -356,7 +353,6 @@ RmaHandle RmaRuntime::nbput2d(Rank& me, int owner, const double* src,
   const std::size_t bytes =
       static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols) *
       sizeof(double);
-  const double issued = me.clock().now();
   RmaHandle h = transfer(me, owner, bytes, /*is_get=*/false);
   h.op.kind = ReplayOp::Kind::Put2d;
   h.op.owner = owner;
@@ -371,8 +367,6 @@ RmaHandle RmaRuntime::nbput2d(Rank& me, int owner, const double* src,
                                     shape(rows, cols, ld_dst), src,
                                     shape(rows, cols, ld_src), site);
   }
-  if (Timeline* tl = team_.timeline())
-    tl->record(me.id(), EventKind::Put, issued, h.completion);
   if (!h.failed) {
     copy2d(src, ld_src, rows, cols, dst, ld_dst);
     if (h.corrupted && src != nullptr && dst != nullptr && rows > 0 &&
@@ -499,8 +493,6 @@ RmaStatus RmaRuntime::wait_impl(Rank& me, RmaHandle& h, double timeout,
         waited = h.completion - before;
         me.trace().time_wait += waited;
         me.clock().sync_to(h.completion);
-        if (Timeline* tl = team_.timeline())
-          tl->record(me.id(), EventKind::Wait, before, h.completion);
       }
       h.pending = false;
 

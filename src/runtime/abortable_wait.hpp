@@ -8,11 +8,10 @@
 //
 // On a pooled-mode fiber (exec::on_fiber()), a wait must never block the
 // OS worker: these wrappers park by dropping the lock, yielding the fiber,
-// and re-polling the predicate on resume.  Abort and deadline semantics
-// are unchanged because both are part of the re-polled condition.  The
-// lock is NEVER held across a yield.
+// and re-polling the predicate on resume.  Abort semantics are unchanged
+// because the abort flag is part of the re-polled condition.  The lock is
+// NEVER held across a yield.
 
-#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
@@ -39,35 +38,6 @@ void wait_abortable(std::unique_lock<std::mutex>& lock,
     if (team.aborted()) throw Error("team aborted while waiting");
     cv.wait_for(lock, std::chrono::milliseconds(20));
   }
-}
-
-/// Deadline variant: waits until `pred` holds or `rel_time` (wall clock)
-/// elapses.  Returns true when the predicate was satisfied, false on
-/// timeout; throws when the team aborts, exactly like wait_abortable.
-template <typename Rep, typename Period, typename Pred>
-bool wait_abortable_for(std::unique_lock<std::mutex>& lock,
-                        std::condition_variable& cv, Team& team,
-                        std::chrono::duration<Rep, Period> rel_time,
-                        Pred pred) {
-  const auto deadline = std::chrono::steady_clock::now() + rel_time;
-  if (exec::on_fiber()) {
-    while (!pred()) {
-      if (team.aborted()) throw Error("team aborted while waiting");
-      if (std::chrono::steady_clock::now() >= deadline) return pred();
-      lock.unlock();
-      exec::yield();
-      lock.lock();
-    }
-    return true;
-  }
-  while (!pred()) {
-    if (team.aborted()) throw Error("team aborted while waiting");
-    const auto now = std::chrono::steady_clock::now();
-    if (now >= deadline) return pred();
-    cv.wait_for(lock, std::min<std::chrono::steady_clock::duration>(
-                          deadline - now, std::chrono::milliseconds(20)));
-  }
-  return true;
 }
 
 /// Non-throwing park used by waits whose predicate already folds in abort

@@ -28,8 +28,6 @@ void Rank::charge_gemm(index_t m, index_t n, index_t k, double rate_factor) {
   const double dt = machine().dgemm.time(m, n, k) / rate_factor;
   const double before = clock_.now();
   clock_.advance(dt);
-  if (Timeline* tl = team_->timeline())
-    tl->record(id_, EventKind::Compute, before, before + dt);
   if (trace::Tracer* tr = tracer())
     tr->span(id_, trace::Phase::Compute, before, before + dt,
              static_cast<std::uint64_t>(m) * static_cast<std::uint64_t>(n));
@@ -69,8 +67,6 @@ void Rank::consume_cpu(double dt) {
   while (cpu_used_ >= next_preempt_) {
     const double before = clock_.now();
     clock_.advance(mm.noise_daemon_duration);
-    if (Timeline* tl = team_->timeline())
-      tl->record(id_, EventKind::Noise, before, clock_.now());
     if (trace::Tracer* tr = tracer())
       tr->span(id_, trace::Phase::Noise, before, clock_.now());
     trace_.time_noise += mm.noise_daemon_duration;
@@ -174,7 +170,6 @@ void Team::reset() {
     r->reset_noise();
   }
   net_.reset();
-  if (timeline_) timeline_->clear();
   // Drop traced events so timestamps stay monotone within one recording:
   // after a reset the trace covers the Team's most recent run.
   if (tracer_) tracer_->clear();
@@ -198,10 +193,6 @@ double Team::max_clock() {
 TraceCounters& Team::trace_board(int rank) {
   SRUMMA_REQUIRE(rank >= 0 && rank < size_, "trace_board: rank out of range");
   return trace_board_[static_cast<std::size_t>(rank)];
-}
-
-void Team::enable_timeline() {
-  if (!timeline_) timeline_ = std::make_unique<Timeline>(size_);
 }
 
 double& Team::value_board(int rank) {
@@ -329,10 +320,6 @@ void Team::barrier_wait(Rank& me) {
   }
   const double before = me.clock().now();
   me.clock().sync_to(barrier_release_);
-  if (Timeline* tl = timeline_.get()) {
-    if (barrier_release_ > before)
-      tl->record(me.id(), EventKind::Barrier, before, barrier_release_);
-  }
   if (trace::Tracer* tr = tracer_.get()) {
     if (barrier_release_ > before)
       tr->span(me.id(), trace::Phase::Barrier, before, barrier_release_);

@@ -25,7 +25,6 @@
 #include "trace/tracer.hpp"
 #include "vtime/clock.hpp"
 #include "vtime/network.hpp"
-#include "vtime/timeline.hpp"
 #include "vtime/trace_counters.hpp"
 
 namespace srumma {
@@ -172,13 +171,6 @@ class Team {
   std::uint64_t add_abort_cv(std::condition_variable* cv);
   void remove_abort_cv(std::uint64_t id);
 
-  /// Start recording per-rank event spans (see vtime/timeline.hpp); off by
-  /// default.  Safe to call between runs; reset() clears recorded events
-  /// but keeps recording enabled.
-  void enable_timeline();
-  /// nullptr when recording is disabled.
-  [[nodiscard]] Timeline* timeline() noexcept { return timeline_.get(); }
-
   /// Install the structured event tracer (src/trace/tracer.hpp); replaces
   /// any existing tracer.  Auto-installed from the SRUMMA_TRACE environment
   /// at construction.  reset() clears recorded events but keeps tracing
@@ -214,7 +206,6 @@ class Team {
   std::vector<std::unique_ptr<Rank>> ranks_;
   std::vector<TraceCounters> trace_board_;
   std::vector<double> value_board_;
-  std::unique_ptr<Timeline> timeline_;
   std::unique_ptr<trace::Tracer> tracer_;
   std::shared_ptr<fault::FaultPlane> faults_;
 

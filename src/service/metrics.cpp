@@ -1,43 +1,6 @@
 #include "service/metrics.hpp"
 
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
-
 namespace srumma::service {
-
-namespace {
-
-std::string num(double v) {
-  std::ostringstream os;
-  // 17 significant digits: doubles round-trip exactly (the bench-metrics
-  // serializer rule; see trace/metrics_json.cpp).
-  os.precision(17);
-  os << v;
-  return os.str();
-}
-
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
-void emit_map(std::ostream& os, const trace::NumberMap& m) {
-  os << "{";
-  bool first = true;
-  for (const auto& [k, v] : m) {
-    os << (first ? "" : ",") << "\"" << escape(k) << "\":" << num(v);
-    first = false;
-  }
-  os << "}";
-}
-
-}  // namespace
 
 trace::NumberMap metrics_map(const ServiceMetrics& m) {
   return {
@@ -56,41 +19,6 @@ trace::NumberMap metrics_map(const ServiceMetrics& m) {
       {"batches", static_cast<double>(m.batches)},
       {"retries", static_cast<double>(m.retries)},
   };
-}
-
-std::string service_metrics_json(const std::string& bench,
-                                 const std::vector<ServiceArm>& arms) {
-  std::ostringstream os;
-  os << "{\"schema\":\"srumma-service-metrics/1\",\"bench\":\""
-     << escape(bench) << "\",\"arms\":[";
-  bool first = true;
-  for (const ServiceArm& arm : arms) {
-    os << (first ? "" : ",") << "\n  {\"label\":\"" << escape(arm.label)
-       << "\",\"params\":";
-    emit_map(os, arm.params);
-    os << ",\"metrics\":";
-    trace::NumberMap metrics = metrics_map(arm.metrics);
-    metrics.emplace_back("wall_seconds", arm.wall_seconds);
-    metrics.emplace_back("wall_per_virtual_second",
-                         arm.metrics.window > 0.0
-                             ? arm.wall_seconds / arm.metrics.window
-                             : 0.0);
-    emit_map(os, metrics);
-    os << "}";
-    first = false;
-  }
-  os << "\n]}\n";
-  return os.str();
-}
-
-bool write_service_metrics_env(const std::string& bench,
-                               const std::vector<ServiceArm>& arms) {
-  const char* p = std::getenv("SRUMMA_BENCH_JSON");
-  if (p == nullptr || *p == '\0') return true;
-  std::ofstream f(p, std::ios::trunc);
-  if (!f) return false;
-  f << service_metrics_json(bench, arms);
-  return static_cast<bool>(f);
 }
 
 }  // namespace srumma::service

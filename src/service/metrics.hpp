@@ -1,55 +1,26 @@
 #pragma once
 // Machine-readable request-plane metrics (docs/SERVICE.md §8).
 //
-// bench_service serializes one ServiceMetrics block per experiment arm to
-// the stable "srumma-service-metrics/1" schema — the service-level
-// counterpart of "srumma-bench-metrics/1" (trace/metrics_json.hpp):
+// bench_service writes one "srumma-bench-metrics/1" row per experiment arm
+// (trace/metrics_json.hpp), MetricsLog::add_metrics(label, metrics_map(m),
+// params, wall_seconds, m.window), so the service rows carry the same
+// schema and wall-speed fields as every other bench:
 //
-//   {
-//     "schema": "srumma-service-metrics/1",
-//     "bench":  "<bench id, e.g. service>",
-//     "arms": [
-//       { "label":   "<experiment arm>",
-//         "params":  { "<name>": <number>, ... },   // workload inputs
-//         "metrics": { "jobs_per_s": ..., "latency_p50_s": ...,
-//                      "latency_p99_s": ..., "utilization": ...,
-//                      "wall_seconds": ...,
-//                      "wall_per_virtual_second": ..., ... } },
-//       ...
-//     ]
-//   }
+//   { "label":   "<experiment arm>",
+//     "params":  { "<name>": <number>, ... },   // workload inputs
+//     "metrics": { "jobs_per_s": ..., "latency_p50_s": ...,
+//                  "latency_p99_s": ..., "utilization": ..., ...,
+//                  "wall_seconds": ..., "wall_per_virtual_second": ... } }
 //
 // Fields are only ever added, never renamed, so BENCH_service.json files
 // from different PRs stay comparable (the bench-metrics rule).
-
-#include <string>
-#include <vector>
 
 #include "service/service.hpp"
 #include "trace/metrics_json.hpp"
 
 namespace srumma::service {
 
-/// One experiment arm of a service bench.  `wall_seconds` is the real
-/// time the arm took to simulate; the emitted wall_per_virtual_second
-/// divides it by the arm's modeled window (the bench-metrics rule).
-struct ServiceArm {
-  std::string label;
-  trace::NumberMap params;
-  ServiceMetrics metrics;
-  double wall_seconds = 0.0;
-};
-
 /// Every ServiceMetrics field as (key, value) pairs — the "metrics" block.
 [[nodiscard]] trace::NumberMap metrics_map(const ServiceMetrics& m);
-
-/// The whole document.
-[[nodiscard]] std::string service_metrics_json(
-    const std::string& bench, const std::vector<ServiceArm>& arms);
-
-/// Write the document to SRUMMA_BENCH_JSON when set (no-op success when
-/// unset — the MetricsLog::write_env contract).  False only on I/O error.
-bool write_service_metrics_env(const std::string& bench,
-                               const std::vector<ServiceArm>& arms);
 
 }  // namespace srumma::service

@@ -83,8 +83,8 @@ struct ServiceConfig {
   [[nodiscard]] static ServiceConfig from_env();
 };
 
-/// Aggregates over one service run (docs/SERVICE.md §8); serialized by
-/// src/service/metrics.hpp as "srumma-service-metrics/1".
+/// Aggregates over one service run (docs/SERVICE.md §8); serialized as a
+/// "srumma-bench-metrics/1" row via metrics_map (src/service/metrics.hpp).
 struct ServiceMetrics {
   std::uint64_t submitted = 0;
   std::uint64_t accepted = 0;

@@ -16,7 +16,7 @@
 //     single `if (Tracer* tr = team.tracer())` null test, the same pattern
 //     as the RMA checker and the fault plane;
 //   * rank-private storage — a rank only ever records its own events, so
-//     the hot path takes no locks (the Timeline precedent);
+//     the hot path takes no locks;
 //   * bounded memory — each rank writes a fixed-capacity ring; overflow
 //     overwrites the *oldest* events and is counted, never reallocates.
 //

@@ -6,12 +6,9 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <condition_variable>
-#include <mutex>
 #include <string>
 
 #include "msg/comm.hpp"
-#include "runtime/abortable_wait.hpp"
 #include "rma/rma.hpp"
 #include "runtime/team.hpp"
 #include "util/error.hpp"
@@ -182,34 +179,6 @@ TEST(Team, AbortWakesPeerBlockedInSymmetricAlloc) {
   const auto wall = std::chrono::steady_clock::now() - t0;
   EXPECT_LT(std::chrono::duration_cast<std::chrono::seconds>(wall).count(), 5);
   EXPECT_TRUE(team.aborted());
-}
-
-// Direct coverage of the deadline variant backing bounded blocking waits:
-// satisfied predicate returns true, an expired deadline returns false with
-// the lock still held, and a team abort throws out of the wait.
-TEST(Team, WaitAbortableForTimesOutAndAborts) {
-  Team team(MachineModel::testing(1, 1));
-  std::mutex mu;
-  std::condition_variable cv;
-  bool ready = false;
-
-  std::unique_lock<std::mutex> lock(mu);
-  EXPECT_FALSE(wait_abortable_for(lock, cv, team,
-                                  std::chrono::milliseconds(5),
-                                  [&] { return ready; }));
-  EXPECT_TRUE(lock.owns_lock());
-
-  ready = true;
-  EXPECT_TRUE(wait_abortable_for(lock, cv, team,
-                                 std::chrono::milliseconds(5),
-                                 [&] { return ready; }));
-
-  ready = false;
-  team.abort();
-  EXPECT_THROW(static_cast<void>(wait_abortable_for(
-                   lock, cv, team, std::chrono::seconds(10),
-                   [&] { return ready; })),
-               Error);
 }
 
 TEST(Team, AbortWakesPeerBlockedInRecv) {

@@ -545,9 +545,11 @@ TEST(Service, MetricsJsonSerializes) {
   m.p50_latency = 0.5;
   m.p99_latency = 0.9;
   m.utilization = 0.75;
-  const std::string doc = service_metrics_json(
-      "service", {{"concurrent", {{"jobs", 3.0}}, m, 0.5}});
-  EXPECT_NE(doc.find("\"schema\":\"srumma-service-metrics/1\""),
+  trace::MetricsLog log("service");
+  log.add_metrics("concurrent", metrics_map(m), {{"jobs", 3.0}}, 0.5,
+                  m.window);
+  const std::string doc = log.json();
+  EXPECT_NE(doc.find("\"schema\":\"srumma-bench-metrics/1\""),
             std::string::npos);
   EXPECT_NE(doc.find("\"jobs_per_s\":1"), std::string::npos);
   EXPECT_NE(doc.find("\"latency_p99_s\":0.9"), std::string::npos);

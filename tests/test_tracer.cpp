@@ -2,7 +2,8 @@
 // ring-buffer overflow policy, Chrome-trace export (parsed back by a
 // minimal JSON reader), the zero-perturbation guarantee when tracing is
 // on, environment activation, and — under fault injection — exact
-// agreement between traced events and the TraceCounters aggregates.
+// agreement between traced events and the TraceCounters aggregates.  Also
+// the ASCII Gantt exporter (print_gantt) and the runtime spans it draws.
 
 #include <gtest/gtest.h>
 
@@ -21,6 +22,7 @@
 #include "trace/report.hpp"
 #include "trace/chrome_trace.hpp"
 #include "trace/metrics_json.hpp"
+#include "trace/profile.hpp"
 #include "trace/tracer.hpp"
 #include "tests/helpers.hpp"
 
@@ -215,6 +217,19 @@ std::uint64_t instant_count(const std::vector<TraceEvent>& evs, Phase p) {
   for (const TraceEvent& e : evs)
     if (e.type == EvType::Instant && e.phase == p) ++n;
   return n;
+}
+
+bool has_span(const std::vector<TraceEvent>& evs, Phase p) {
+  return std::any_of(evs.begin(), evs.end(), [p](const TraceEvent& e) {
+    return e.type == EvType::Span && e.phase == p;
+  });
+}
+
+std::string gantt(const Tracer& tr, double t0, double t1, int width,
+                  int max_ranks) {
+  std::ostringstream os;
+  print_gantt(os, tr, t0, t1, width, max_ranks);
+  return os.str();
 }
 
 bool is_comm(Phase p) {
@@ -512,6 +527,191 @@ TEST(Tracer, MetricsJsonSchemaRoundTrips) {
   EXPECT_EQ(rows[1].at("metrics").at("wall_seconds").num, 0.25);
   EXPECT_EQ(rows[1].at("metrics").at("wall_per_virtual_second").num,
             0.25 / 2.0);
+}
+
+// ---------------------------------------------------------------------------
+// ASCII Gantt exporter (trace/profile.hpp) and the runtime spans it draws.
+
+TEST(Tracer, GanttGlyphPerPhase) {
+  Tracer tr({{0, 0}, {0, 0}, {0, 0}}, TracerConfig{});
+  // Containers are not drawn: only what runs inside them.
+  tr.span(0, Phase::Multiply, 0, 10);
+  tr.span(0, Phase::Task, 0, 10);
+  tr.span(0, Phase::Compute, 0, 6);
+  tr.span(0, Phase::Wait, 6, 10);
+  tr.span(1, Phase::Get, 0, 2);
+  tr.span(1, Phase::Put, 2, 4);
+  tr.span(1, Phase::Acc, 4, 6);
+  tr.span(1, Phase::RecoveryWait, 6, 7);
+  tr.span(1, Phase::Noise, 7, 8);
+  tr.span(1, Phase::Barrier, 8, 9);
+  tr.span(1, Phase::Send, 9, 10);
+  // Steal, cache, message and service spans are not drawn either.
+  for (Phase p : {Phase::Steal, Phase::Handback, Phase::CacheRead,
+                  Phase::Recv, Phase::Adopt, Phase::Job, Phase::JobWait})
+    tr.span(2, p, 0, 10);
+  tr.instant(2, Phase::TaskIssue, 5);
+  tr.counter_add(2, CounterId::InflightOps, 5, 1.0);
+
+  const std::string s = gantt(tr, 0, 10, 10, 16);
+  EXPECT_NE(s.find("timeline [0 ms .. 10000 ms], 1000 ms/cell"),
+            std::string::npos)
+      << s;
+  EXPECT_NE(s.find(" 0 |CCCCCCWWWW|\n"), std::string::npos) << s;
+  EXPECT_NE(s.find(" 1 |GGPPPPWNB.|\n"), std::string::npos) << s;
+  EXPECT_NE(s.find(" 2 |..........|\n"), std::string::npos) << s;
+}
+
+TEST(Tracer, GanttDrawsDominantGlyphPerCell) {
+  Tracer tr({{0, 0}, {0, 0}}, TracerConfig{});
+  tr.span(0, Phase::Compute, 0, 4.7);  // cell 4: 0.7 compute, 0.3 wait
+  tr.span(0, Phase::Wait, 4.7, 10);
+  // An exact tie goes to the glyph earlier in character order, whatever
+  // the record order.
+  tr.span(1, Phase::Put, 0.5, 1.0);
+  tr.span(1, Phase::Get, 0.0, 0.5);
+  const std::string s = gantt(tr, 0, 10, 10, 16);
+  EXPECT_NE(s.find(" 0 |CCCCCWWWWW|\n"), std::string::npos) << s;
+  EXPECT_NE(s.find(" 1 |G.........|\n"), std::string::npos) << s;
+}
+
+TEST(Tracer, GanttAutoRangeCoversDrawnSpansOnly) {
+  Tracer tr({{0, 0}}, TracerConfig{});
+  tr.span(0, Phase::Multiply, 0.0, 5.0);  // not drawn: no range either
+  tr.span(0, Phase::Compute, 1.0, 2.0);
+  tr.span(0, Phase::Barrier, 3.0, 3.0);  // zero-length: skipped
+  const std::string s = gantt(tr, 0.0, 0.0, 20, 16);  // auto: [0, 2]
+  EXPECT_NE(s.find("timeline [0 ms .. 2000 ms]"), std::string::npos) << s;
+  EXPECT_NE(s.find(" 0 |..........CCCCCCCCCC|\n"), std::string::npos) << s;
+  EXPECT_EQ(s.find('B', s.find('|')), std::string::npos) << s;
+
+  Tracer empty({{0, 0}}, TracerConfig{});
+  empty.span(0, Phase::Compute, 1.0, 1.0);
+  EXPECT_EQ(gantt(empty, 0.0, 0.0, 20, 16), "(timeline empty)\n");
+}
+
+TEST(Tracer, GanttCapsRanks) {
+  Tracer tr(std::vector<trace::TrackInfo>(40), TracerConfig{});
+  for (int r = 0; r < 40; ++r) tr.span(r, Phase::Compute, 0, 1);
+  const std::string s = gantt(tr, 0, 1, 20, 8);
+  EXPECT_NE(s.find(" 7 |CCCCCCCCCCCCCCCCCCCC|\n"), std::string::npos) << s;
+  EXPECT_EQ(s.find(" 8 |"), std::string::npos) << s;
+  EXPECT_NE(s.find("(32 more ranks not shown)\n"), std::string::npos) << s;
+}
+
+TEST(Tracer, GanttReportsDroppedEvents) {
+  TracerConfig cfg;
+  cfg.ring_capacity = 4;
+  Tracer tr({{0, 0}}, cfg);
+  for (int i = 0; i < 10; ++i) tr.span(0, Phase::Compute, i, i + 1);
+  ASSERT_EQ(tr.dropped(0), 6u);
+  // Only the 4 newest spans survive; the auto range still starts at 0.
+  const std::string s = gantt(tr, 0, 0, 10, 16);
+  EXPECT_NE(s.find(" 0 |......CCCC|\n"), std::string::npos) << s;
+  EXPECT_NE(s.find("(6 tracer events lost to ring overflow"),
+            std::string::npos)
+      << s;
+
+  Tracer whole({{0, 0}}, TracerConfig{});
+  whole.span(0, Phase::Compute, 0, 1);
+  EXPECT_EQ(gantt(whole, 0, 0, 10, 16).find("lost"), std::string::npos);
+}
+
+TEST(Tracer, ResetClearsEventsButKeepsTracer) {
+  Team team(MachineModel::testing(1, 1));
+  team.enable_tracer(TracerConfig{});
+  team.run([](Rank& me) { me.charge_gemm(16, 16, 16); });
+  EXPECT_TRUE(has_span(team.tracer_ptr()->events(0), Phase::Compute));
+  team.reset();
+  ASSERT_NE(team.tracer_ptr(), nullptr);  // still installed
+  EXPECT_TRUE(team.tracer_ptr()->events(0).empty());
+}
+
+TEST(Tracer, RecordsComputeWaitAndIdleBarrier) {
+  Team team(MachineModel::testing(2, 1));
+  team.enable_tracer(TracerConfig{});
+  RmaRuntime rma(team);
+  team.run([&](Rank& me) {
+    SymmetricRegion r = rma.malloc_symmetric(me, 4096);
+    me.barrier();
+    me.charge_gemm(64, 64, 64);
+    if (me.id() == 0) {
+      RmaHandle h = rma.nbget(me, 1, r.base(1), nullptr, 4096);
+      rma.wait(me, h);  // remote transfer: wait is non-trivial
+    }
+    me.barrier();
+  });
+  const Tracer& tr = *team.tracer_ptr();
+  EXPECT_TRUE(has_span(tr.events(0), Phase::Compute));
+  EXPECT_TRUE(has_span(tr.events(0), Phase::Wait));
+  // Rank 1 idled into the final barrier: it must show a Barrier span.
+  EXPECT_TRUE(has_span(tr.events(1), Phase::Barrier));
+}
+
+TEST(Tracer, RemoteGetSpanCoversTheTransfer) {
+  // The Get span covers the in-flight transfer (the overlap window), not
+  // the wait, so it lasts at least one network latency.
+  Team team(MachineModel::testing(2, 1));
+  team.enable_tracer(TracerConfig{});
+  RmaRuntime rma(team);
+  team.run([&](Rank& me) {
+    me.barrier();
+    if (me.id() == 0) {
+      Matrix dst(64, 64);
+      SymmetricRegion r = rma.malloc_symmetric(me, 64 * 64);
+      RmaHandle h = rma.nbget2d(me, 1, r.base(1), 64, 64, 64, dst.data(), 64);
+      rma.wait(me, h);
+    } else {
+      (void)rma.malloc_symmetric(me, 64 * 64);
+    }
+  });
+  int gets = 0;
+  for (const TraceEvent& e : team.tracer_ptr()->events(0)) {
+    if (e.type != EvType::Span || e.phase != Phase::Get) continue;
+    ++gets;
+    EXPECT_GT(e.t1 - e.t0, team.machine().net_latency * 0.9);
+  }
+  EXPECT_EQ(gets, 1);
+}
+
+TEST(Tracer, SrummaPipelineOverlapsGetsWithCompute) {
+  // On a cluster run, rank 0's Get spans overlap its Compute spans in
+  // virtual time — that is the whole point of the pipeline.
+  Team team(MachineModel::linux_myrinet(4));
+  team.enable_tracer(TracerConfig{});
+  RmaRuntime rma(team);
+  run_phantom(team, rma, 1024);
+  const std::vector<TraceEvent> ev = team.tracer_ptr()->events(0);
+  bool overlapped = false;
+  for (const TraceEvent& get : ev) {
+    if (get.type != EvType::Span || get.phase != Phase::Get) continue;
+    for (const TraceEvent& cmp : ev) {
+      if (cmp.type != EvType::Span || cmp.phase != Phase::Compute) continue;
+      overlapped |= get.t0 < cmp.t1 && cmp.t0 < get.t1;
+    }
+  }
+  EXPECT_TRUE(overlapped);
+}
+
+TEST(Tracer, OneWorkerPooledGanttIsReproducible) {
+  // docs/HARNESS.md §4: a single-worker pooled run is reproducible even
+  // where NIC contention makes booking order matter (the pooled vs
+  // thread-per-rank differential is only bitwise on contention-free
+  // machines).  Two runs of the same contended multiply draw the same
+  // chart, cell for cell.
+  auto draw = [] {
+    Team team(MachineModel::linux_myrinet(4));
+    team.set_execution(ExecMode::Pooled, 1);
+    team.enable_tracer(TracerConfig{});
+    RmaRuntime rma(team);
+    run_phantom(team, rma, 1024);
+    return gantt(*team.tracer_ptr(), 0.0, 0.0, 100, 8);
+  };
+  const std::string first = draw();
+  const std::size_t rows = first.find('|');
+  EXPECT_NE(first.find('G', rows), std::string::npos) << first;
+  EXPECT_NE(first.find('C', rows), std::string::npos) << first;
+  EXPECT_EQ(draw(), first);
 }
 
 }  // namespace
