@@ -1,14 +1,17 @@
 // Micro-benchmark (google-benchmark): real host-time overheads of the
 // simulation substrate itself — how fast the harness can issue RMA ops,
-// match messages, book contended resources and run barriers.  These bound
-// how large a simulated machine the benches can afford.
+// match messages, book contended resources, run barriers, start a team and
+// plan a multiply.  These bound how large a simulated machine the benches
+// can afford.
 //
 // Where an op needs two ranks, each benchmark iteration runs a fixed-count
-// batch inside one Team::run (thread spawn included — it is part of the
-// harness cost being measured); per-op cost = iteration time / batch size.
+// batch inside one Team::run (fiber and worker set-up included — it is part
+// of the harness cost being measured); per-op cost = iteration time / batch
+// size.
 
 #include <benchmark/benchmark.h>
 
+#include "core/task_plan.hpp"
 #include "msg/comm.hpp"
 #include "rma/rma.hpp"
 #include "runtime/team.hpp"
@@ -95,13 +98,41 @@ void BM_BarrierBatch(benchmark::State& state) {
 BENCHMARK(BM_BarrierBatch);
 
 void BM_TeamSpawn128(benchmark::State& state) {
-  Team team(MachineModel::linux_myrinet(64));  // 128 rank threads
+  Team team(MachineModel::linux_myrinet(64));  // 128 rank fibers
   for (auto _ : state) {
     team.reset();
     team.run([](Rank& me) { me.barrier(); });
   }
 }
 BENCHMARK(BM_TeamSpawn128);
+
+// The per-run harness cost at the e2e benchmark's 1024-rank scale: fiber
+// set-up and tear-down plus worker spawn, with nothing to simulate.  One
+// untimed run first, so the timed runs see a warm process.
+void BM_TeamRunEmpty1024(benchmark::State& state) {
+  Team team(MachineModel::linux_myrinet(512));
+  team.run([](Rank&) {});
+  for (auto _ : state) team.run([](Rank&) {});
+}
+BENCHMARK(BM_TeamRunEmpty1024)->Unit(benchmark::kMillisecond);
+
+// Planning for one multiply of the e2e benchmark's scale1024_phantom
+// configuration (linux_myrinet(512), N = 16000, default options): every
+// rank's tune_options + build_task_plan, run serially.
+void BM_BuildTaskPlan1024(benchmark::State& state) {
+  const MachineModel mm = MachineModel::linux_myrinet(512);
+  const index_t n = 16000;
+  const MatrixLayout l(n, n, ProcGrid::near_square(mm.total_ranks()));
+  const SrummaOptions opt;
+  for (auto _ : state) {
+    for (int r = 0; r < mm.total_ranks(); ++r) {
+      TaskPlan plan =
+          build_task_plan(r, mm, l, l, l, tune_options(r, mm, l, l, l, opt));
+      benchmark::DoNotOptimize(plan);
+    }
+  }
+}
+BENCHMARK(BM_BuildTaskPlan1024)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

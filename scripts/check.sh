@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # Tier-1 verification wrapper (see docs/CHECKING.md for the full matrix):
 #   1.  configure + build + full ctest suite (Release);
-#   1b. an ASan/UBSan build of the library + kernel-verification harness,
-#       running test_gemm_kernels under the sanitizers; then the dispatch
-#       guard (an AVX-512 host must auto-select the avx512 kernel) and the
-#       multiply suites pinned to the avx2 kernel, which auto-selection no
-#       longer picks on such hosts;
+#   1b. an ASan/UBSan build of the library running the kernel-verification
+#       harness (test_gemm_kernels), the pooled fiber harness and its stack
+#       cache (test_harness_pool) and the task-plan suite (test_task_plan)
+#       under the sanitizers; then the dispatch guard (an AVX-512 host must
+#       auto-select the avx512 kernel) and the multiply suites pinned to the
+#       avx2 kernel, which auto-selection no longer picks on such hosts;
 #   1c. the full suite again with the shadow-state RMA checker enabled
 #       (SRUMMA_RMA_CHECK=1) — any diagnostic fails the run;
 #   1d. the fault matrix (docs/FAULTS.md): the dedicated fault suites
@@ -74,13 +75,15 @@ cmake --build "$build" -j "$jobs"
 ctest --test-dir "$build" --output-on-failure -j "$jobs"
 
 echo
-echo "== tier 1b: kernel harness under ASan/UBSan ($asan_build), dispatch =="
+echo "== tier 1b: kernels, fiber harness, task plans under ASan/UBSan ($asan_build), dispatch =="
 cmake -B "$asan_build" -S "$repo" \
   -DSRUMMA_SANITIZE=address,undefined \
   -DSRUMMA_BUILD_BENCH=OFF \
   -DSRUMMA_BUILD_EXAMPLES=OFF
-cmake --build "$asan_build" -j "$jobs" --target test_gemm_kernels
-ctest --test-dir "$asan_build" --output-on-failure -R '^test_gemm_kernels$'
+cmake --build "$asan_build" -j "$jobs" \
+  --target test_gemm_kernels --target test_harness_pool --target test_task_plan
+ctest --test-dir "$asan_build" --output-on-failure \
+  -R '^(test_gemm_kernels|test_harness_pool|test_task_plan)$'
 # A silently failed -mavx512f probe would drop the kernel from the registry
 # and fall back to avx2 without any test failing; catch it here.
 if grep -qw avx512f /proc/cpuinfo 2> /dev/null; then

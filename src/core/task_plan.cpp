@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <cstdlib>
 #include <map>
+#include <numeric>
 
 #include "util/error.hpp"
 
@@ -318,17 +320,28 @@ void order_tasks(std::vector<Task>& tasks, const OrderingPolicy& policy,
     // inter-patch order the rotation established.  Adjacent same-patch
     // fetches also arrive at the cooperative block cache back to back,
     // turning the duplicate gets of domain mates into in-flight joins.
+    //
+    // One map lookup per task gives it its patch's first-seen index, and a
+    // stable counting sort on that index places the tasks.  A run whose
+    // indices already ascend is grouped and stays as it is.
     std::map<std::array<index_t, 4>, std::size_t> first_seen;
+    std::vector<std::size_t> group;
+    group.reserve(static_cast<std::size_t>(tasks.end() - remote_begin));
     for (auto it = remote_begin; it != tasks.end(); ++it) {
-      first_seen.emplace(std::array{it->a_i0, it->a_j0, it->a_m, it->a_n},
-                         first_seen.size());
+      group.push_back(
+          first_seen
+              .emplace(std::array{it->a_i0, it->a_j0, it->a_m, it->a_n},
+                       first_seen.size())
+              .first->second);
     }
-    std::stable_sort(remote_begin, tasks.end(),
-                     [&](const Task& x, const Task& y) {
-                       return first_seen.at(
-                                  {x.a_i0, x.a_j0, x.a_m, x.a_n}) <
-                              first_seen.at({y.a_i0, y.a_j0, y.a_m, y.a_n});
-                     });
+    if (!std::is_sorted(group.begin(), group.end())) {
+      std::vector<std::size_t> slot(first_seen.size() + 1, 0);
+      for (std::size_t g : group) ++slot[g + 1];
+      std::partial_sum(slot.begin(), slot.end(), slot.begin());
+      const std::vector<Task> run(remote_begin, tasks.end());
+      for (std::size_t i = 0; i < run.size(); ++i)
+        remote_begin[static_cast<std::ptrdiff_t>(slot[group[i]]++)] = run[i];
+    }
   }
 }
 

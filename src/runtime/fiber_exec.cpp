@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <deque>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -49,6 +50,7 @@ void __sanitizer_start_switch_fiber(void** fake_stack_save, const void* bottom,
 void __sanitizer_finish_switch_fiber(void* fake_stack_save,
                                      const void** bottom_old,
                                      size_t* size_old);
+void __asan_unpoison_memory_region(void const volatile* addr, size_t size);
 }
 #endif
 
@@ -57,14 +59,19 @@ namespace {
 
 struct Pool;
 
+// One mmap'd fiber stack with a PROT_NONE guard page at its low end.
+struct Stack {
+  char* map_base = nullptr;   // mmap base (guard page lives here)
+  std::size_t map_bytes = 0;  // total mapped, guard included
+  char* lo = nullptr;         // usable stack bottom (above the guard)
+  std::size_t bytes = 0;      // usable bytes
+};
+
 struct FiberState {
   ucontext_t ctx{};
   Pool* pool = nullptr;
   int index = 0;
-  char* map_base = nullptr;   // mmap base (guard page lives here)
-  std::size_t map_bytes = 0;  // total mapped, guard included
-  char* stack_lo = nullptr;   // usable stack bottom (above the guard)
-  std::size_t stack_bytes = 0;
+  Stack stack;
   bool finished = false;
 #if defined(SRUMMA_FIBER_TSAN)
   void* tsan_fiber = nullptr;
@@ -104,8 +111,8 @@ thread_local FiberState* t_fiber = nullptr;
 // Switch the worker into `f`; returns when `f` yields or finishes.
 void switch_to_fiber(Worker& w, FiberState& f) {
 #if defined(SRUMMA_FIBER_ASAN)
-  __sanitizer_start_switch_fiber(&w.asan_fake_stack, f.stack_lo,
-                                 f.stack_bytes);
+  __sanitizer_start_switch_fiber(&w.asan_fake_stack, f.stack.lo,
+                                 f.stack.bytes);
 #endif
 #if defined(SRUMMA_FIBER_TSAN)
   __tsan_switch_to_fiber(f.tsan_fiber, 0);
@@ -156,30 +163,104 @@ std::size_t page_size() {
   return p > 0 ? static_cast<std::size_t>(p) : std::size_t{4096};
 }
 
-FiberState* create_fiber(Pool* pool, int index, std::size_t stack_bytes) {
-  static_assert(sizeof(void*) <= 8, "fiber pointer smuggling assumes <=64bit");
+Stack map_stack(std::size_t usable) {
   const std::size_t page = page_size();
-  const std::size_t usable = ((stack_bytes + page - 1) / page) * page;
   const std::size_t total = usable + page;  // + guard page at the low end
   void* base = mmap(nullptr, total, PROT_READ | PROT_WRITE,
                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_STACK, -1, 0);
   SRUMMA_REQUIRE(base != MAP_FAILED, "fiber stack mmap failed");
   SRUMMA_REQUIRE(mprotect(base, page, PROT_NONE) == 0,
                  "fiber guard page mprotect failed");
+  Stack s;
+  s.map_base = static_cast<char*>(base);
+  s.map_bytes = total;
+  s.lo = s.map_base + page;
+  s.bytes = usable;
+  return s;
+}
 
+void unmap_stack(const Stack& s) {
+#if defined(SRUMMA_FIBER_ASAN)
+  // munmap leaves ASan's shadow as it was, and a later mapping at this
+  // address would inherit the poison of frames that never unwound.
+  __asan_unpoison_memory_region(s.lo, s.bytes);
+#endif
+  munmap(s.map_base, s.map_bytes);
+}
+
+// Process-wide LIFO free list of fiber stacks, shared by every run_fibers
+// call on any thread.  A run maps new stacks only when the list is empty,
+// and a finished fiber hands its stack back, so the list never holds more
+// stacks than were ever alive at once.  All cached stacks have the usable
+// size of the latest request; a request of another size unmaps them.
+// Stacks are never prefaulted: a cached stack is resident only in the
+// pages fibers touched.
+class StackCache {
+ public:
+  // `n` stacks of `bytes` rounded up to whole pages, most recently
+  // returned first.
+  std::vector<Stack> take(std::size_t n, std::size_t bytes) {
+    const std::size_t page = page_size();
+    const std::size_t usable = (bytes + page - 1) / page * page;
+    std::vector<Stack> out;
+    out.reserve(n);
+    std::vector<Stack> stale;
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      if (usable != bytes_) {
+        stale.swap(free_);
+        bytes_ = usable;
+      }
+      while (out.size() < n && !free_.empty()) {
+        out.push_back(free_.back());
+        free_.pop_back();
+      }
+    }
+    for (const Stack& s : stale) unmap_stack(s);
+#if defined(SRUMMA_FIBER_ASAN)
+    // A fiber that finished by switching out never unwound its frames, so
+    // their redzones are still poisoned.
+    for (const Stack& s : out) __asan_unpoison_memory_region(s.lo, s.bytes);
+#endif
+    while (out.size() < n) out.push_back(map_stack(usable));
+    return out;
+  }
+
+  void give(const Stack& s) {
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      if (s.bytes == bytes_) {
+        free_.push_back(s);
+        return;
+      }
+    }
+    unmap_stack(s);  // the size changed while this stack was out
+  }
+
+ private:
+  std::mutex mu_;
+  std::size_t bytes_ = 0;    // usable size of every cached stack
+  std::vector<Stack> free_;  // guarded by mu_
+};
+
+// Never destroyed, so a run on another thread can outlive static teardown.
+StackCache& stack_cache() {
+  static auto* cache = new StackCache();
+  return *cache;
+}
+
+FiberState* create_fiber(Pool* pool, int index, const Stack& stack) {
+  static_assert(sizeof(void*) <= 8, "fiber pointer smuggling assumes <=64bit");
   auto* f = new FiberState();
   f->pool = pool;
   f->index = index;
-  f->map_base = static_cast<char*>(base);
-  f->map_bytes = total;
-  f->stack_lo = f->map_base + page;
-  f->stack_bytes = usable;
+  f->stack = stack;
 #if defined(SRUMMA_FIBER_TSAN)
   f->tsan_fiber = __tsan_create_fiber(0);
 #endif
   SRUMMA_REQUIRE(getcontext(&f->ctx) == 0, "getcontext failed");
-  f->ctx.uc_stack.ss_sp = f->stack_lo;
-  f->ctx.uc_stack.ss_size = f->stack_bytes;
+  f->ctx.uc_stack.ss_sp = f->stack.lo;
+  f->ctx.uc_stack.ss_size = f->stack.bytes;
   f->ctx.uc_link = nullptr;  // fibers exit via switch_to_worker, never return
   const auto p = reinterpret_cast<std::uintptr_t>(f);
   const auto hi = static_cast<unsigned>(std::uint64_t{p} >> 32);
@@ -195,7 +276,7 @@ void destroy_fiber(FiberState* f) {
 #if defined(SRUMMA_FIBER_TSAN)
   __tsan_destroy_fiber(f->tsan_fiber);
 #endif
-  munmap(f->map_base, f->map_bytes);
+  stack_cache().give(f->stack);
   delete f;
 }
 
@@ -248,11 +329,14 @@ void run_fibers(int n, int workers, std::size_t stack_bytes,
   SRUMMA_REQUIRE(n >= 0, "run_fibers: negative fiber count");
   SRUMMA_REQUIRE(!on_fiber(), "run_fibers: reentrant call from a fiber");
   if (n == 0) return;
+  const std::vector<Stack> stacks =
+      stack_cache().take(static_cast<std::size_t>(n), stack_bytes);
   Pool pool;
   pool.body = &body;
   pool.live = n;
   for (int i = 0; i < n; ++i)
-    pool.runnable.push_back(create_fiber(&pool, i, stack_bytes));
+    pool.runnable.push_back(
+        create_fiber(&pool, i, stacks[static_cast<std::size_t>(i)]));
 
   int nw = workers;
   if (nw < 1) nw = 1;
@@ -268,25 +352,34 @@ void run_fibers(int n, int workers, std::size_t stack_bytes,
   t_worker = saved_worker;
 }
 
-int default_workers() noexcept {
-  if (const char* s = std::getenv("SRUMMA_HARNESS_THREADS")) {
-    char* end = nullptr;
-    const long v = std::strtol(s, &end, 10);
-    if (end != s && *end == '\0' && v >= 1 && v <= 4096)
-      return static_cast<int>(v);
-  }
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? static_cast<int>(hw) : 1;
+namespace {
+
+// The integer value of environment variable `name`, or `dflt` when it is
+// unset.  Any other value outside [lo, hi] is an error.
+long env_integer(const char* name, long dflt, long lo, long hi) {
+  const char* s = std::getenv(name);
+  if (s == nullptr) return dflt;
+  char* end = nullptr;
+  const long v = std::strtol(s, &end, 10);
+  if (end == s || *end != '\0' || v < lo || v > hi)
+    throw Error(std::string(name) + "='" + s +
+                "' is invalid: expected an integer in [" + std::to_string(lo) +
+                ", " + std::to_string(hi) + "]");
+  return v;
 }
 
-std::size_t default_stack_bytes() noexcept {
-  long kb = 512;
-  if (const char* s = std::getenv("SRUMMA_HARNESS_STACK_KB")) {
-    char* end = nullptr;
-    const long v = std::strtol(s, &end, 10);
-    if (end != s && *end == '\0' && v >= 64 && v <= 64 * 1024) kb = v;
-  }
-  return static_cast<std::size_t>(kb) * 1024u;
+}  // namespace
+
+int default_workers() {
+  const unsigned hw = std::thread::hardware_concurrency();
+  return static_cast<int>(
+      env_integer("SRUMMA_HARNESS_THREADS", hw > 0 ? hw : 1, 1, 4096));
+}
+
+std::size_t default_stack_bytes() {
+  return static_cast<std::size_t>(
+             env_integer("SRUMMA_HARNESS_STACK_KB", 512, 64, 64 * 1024)) *
+         1024u;
 }
 
 }  // namespace srumma::exec

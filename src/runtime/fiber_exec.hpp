@@ -13,8 +13,11 @@
 // Blocking code MUST NOT hold a mutex across yield(): unlock, yield,
 // relock (see runtime/abortable_wait.hpp for the canonical wrappers).
 //
-// Stacks are mmap'd with a PROT_NONE guard page at the low end; size comes
-// from SRUMMA_HARNESS_STACK_KB (default 256 KiB).  Worker count comes from
+// Stacks come from a process-wide cache shared by every run_fibers call:
+// each is mmap'd once, with a PROT_NONE guard page at the low end, and a
+// finished fiber returns it for the next run instead of unmapping it.
+// Size comes from SRUMMA_HARNESS_STACK_KB (default 512 KiB); a run of
+// another size unmaps the cached stacks.  Worker count comes from
 // SRUMMA_HARNESS_THREADS (default: hardware concurrency, capped at the
 // fiber count).  Fiber switches carry the TSan/ASan fiber annotations so
 // the pooled scheduler runs clean under both sanitizers.
@@ -35,17 +38,21 @@ namespace srumma::exec {
 void yield();
 
 /// Run bodies 0..n-1 as fibers over `workers` OS threads (clamped to
-/// [1, n]).  The calling thread acts as one of the workers, so workers==1
-/// spawns no threads at all.  Blocks until every fiber finishes.  Bodies
+/// [1, n]), on cached stacks of `stack_bytes` rounded up to whole pages.
+/// The calling thread acts as one of the workers, so workers==1 spawns no
+/// threads at all.  Blocks until every fiber finishes.  Bodies
 /// must not let exceptions escape (catch them and record, as Team::run
 /// does).  Not reentrant from a fiber — callers gate on !on_fiber().
 void run_fibers(int n, int workers, std::size_t stack_bytes,
                 const std::function<void(int)>& body);
 
 /// SRUMMA_HARNESS_THREADS, else std::thread::hardware_concurrency(), >= 1.
-[[nodiscard]] int default_workers() noexcept;
+/// Throws srumma::Error unless the variable is unset or an integer in
+/// [1, 4096].
+[[nodiscard]] int default_workers();
 
-/// SRUMMA_HARNESS_STACK_KB * 1024, else 256 KiB; page-rounded, >= 64 KiB.
-[[nodiscard]] std::size_t default_stack_bytes() noexcept;
+/// SRUMMA_HARNESS_STACK_KB * 1024, else 512 KiB.  Throws srumma::Error
+/// unless the variable is unset or an integer in [64, 65536].
+[[nodiscard]] std::size_t default_stack_bytes();
 
 }  // namespace srumma::exec

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <exception>
+#include <string>
 #include <thread>
 
 #include "runtime/fiber_exec.hpp"
@@ -121,8 +122,10 @@ namespace {
 
 ExecMode mode_from_env() {
   const char* s = std::getenv("SRUMMA_HARNESS");
-  if (s != nullptr && std::strcmp(s, "threads") == 0) return ExecMode::Threads;
-  return ExecMode::Pooled;
+  if (s == nullptr || std::strcmp(s, "pooled") == 0) return ExecMode::Pooled;
+  if (std::strcmp(s, "threads") == 0) return ExecMode::Threads;
+  throw Error(std::string("SRUMMA_HARNESS='") + s +
+              "' is invalid: expected pooled or threads");
 }
 
 }  // namespace

@@ -39,7 +39,7 @@ class Team;
 ///    fallback and as the differential-testing oracle (tests assert both
 ///    modes produce bitwise-identical virtual-time results).
 ///  - Auto: resolve from SRUMMA_HARNESS ("pooled" | "threads"; default
-///    pooled) at run() time.
+///    pooled, any other value throws) at run() time.
 enum class ExecMode : std::uint8_t { Auto, Pooled, Threads };
 
 /// Per-rank execution context handed to the SPMD body.
@@ -110,6 +110,8 @@ class Team {
 
   /// Run an SPMD body on every rank; blocks until all complete.  The first
   /// exception thrown by any rank is rethrown here after all ranks finish.
+  /// A malformed SRUMMA_HARNESS, SRUMMA_HARNESS_THREADS or
+  /// SRUMMA_HARNESS_STACK_KB throws srumma::Error before any rank starts.
   void run(const std::function<void(Rank&)>& body);
 
   /// Select the execution mode (and, for Pooled, an optional worker-count

@@ -3,8 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <map>
 #include <set>
 
+#include "analysis/plan_model.hpp"
 #include "core/task_plan.hpp"
 #include "rma/rma.hpp"
 #include "tests/helpers.hpp"
@@ -395,6 +399,124 @@ TEST(Ordering, ShmFirstIsStableUnderRandomInput) {
       }
     }
   }
+}
+
+// The a_group regroup as order_tasks first did it: a std::map of first-seen
+// indices and a std::stable_sort keyed on them, applied to the run that
+// starts after the shm-first prefix.  The oracle for the linear regroup.
+void stable_sort_regroup(std::vector<Task>& ts, bool shm_first) {
+  const auto remote_begin =
+      shm_first ? std::find_if(ts.begin(), ts.end(),
+                               [](const Task& t) { return !t.in_domain(); })
+                : ts.begin();
+  std::map<std::array<index_t, 4>, std::size_t> first_seen;
+  for (auto it = remote_begin; it != ts.end(); ++it) {
+    first_seen.emplace(std::array{it->a_i0, it->a_j0, it->a_m, it->a_n},
+                       first_seen.size());
+  }
+  std::stable_sort(remote_begin, ts.end(), [&](const Task& x, const Task& y) {
+    return first_seen.at({x.a_i0, x.a_j0, x.a_m, x.a_n}) <
+           first_seen.at({y.a_i0, y.a_j0, y.a_m, y.a_n});
+  });
+}
+
+// Every ordering flag combination, a_group included.
+std::vector<OrderingPolicy> all_policies() {
+  std::vector<OrderingPolicy> out;
+  for (int bits = 0; bits < 16; ++bits)
+    out.push_back({(bits & 1) != 0, (bits & 2) != 0, (bits & 4) != 0,
+                   (bits & 8) != 0});
+  return out;
+}
+
+// Task identities in order: a plan has one task per (C tile, K segment).
+std::vector<std::array<index_t, 3>> ids(const std::vector<Task>& ts) {
+  std::vector<std::array<index_t, 3>> out;
+  for (const Task& t : ts) out.push_back({t.ci, t.cj, t.k0});
+  return out;
+}
+
+TEST(Ordering, AGroupMatchesStableFirstSeenOrder) {
+  // Randomized differential: interleaved A patches (all four key fields
+  // vary), mixed in-domain flags and random diagonal columns, under every
+  // policy.  order_tasks must produce exactly the order of the same policy
+  // without a_group followed by the stable_sort regroup.
+  Rng rng(20261017);
+  for (int trial = 0; trial < 300; ++trial) {
+    std::vector<Task> input;
+    const index_t n = static_cast<index_t>(rng.below(41));
+    for (index_t i = 0; i < n; ++i) {
+      Task t = mk_task(i, rng.below(3) == 0, rng.below(2) == 0,
+                       static_cast<int>(rng.below(4)));
+      t.a_i0 = static_cast<index_t>(rng.below(3));
+      t.a_j0 = static_cast<index_t>(rng.below(2));
+      t.a_m = 1 + static_cast<index_t>(rng.below(2));
+      t.a_n = 1 + static_cast<index_t>(rng.below(2));
+      input.push_back(t);
+    }
+    const int diag = static_cast<int>(rng.below(5));  // col 4 never matches
+    for (const OrderingPolicy& p : all_policies()) {
+      std::vector<Task> got = input;
+      order_tasks(got, p, diag);
+      std::vector<Task> want = input;
+      OrderingPolicy no_group = p;
+      no_group.a_group = false;
+      order_tasks(want, no_group, diag);
+      if (p.a_group) stable_sort_regroup(want, p.shm_first);
+      ASSERT_EQ(ids(got), ids(want))
+          << "trial " << trial << " policy " << p.shm_first
+          << p.diagonal_shift << p.a_reuse << p.a_group;
+    }
+  }
+}
+
+TEST(Ordering, AGroupPlansMatchStableFirstSeenOrder) {
+  // The same differential over whole analyzer plan models: a transposed
+  // rectangular multiply, a c_chunk/k_chunk split, and the 1024-rank
+  // N = 16000 scale point.  The split runs without the A-reuse loop nest,
+  // so each A patch recurs once per C column tile and the regroup has to
+  // move tasks; under the default nest every patch is already contiguous.
+  // Every rank's remote run must also be grouped: once a patch's run ends,
+  // the patch never recurs.
+  std::vector<analysis::AnalysisConfig> cfgs(3);
+  cfgs[0].machine = MachineModel::linux_myrinet(4);
+  cfgs[0].m = 300;
+  cfgs[0].n = 200;
+  cfgs[0].k = 500;
+  cfgs[0].options.ta = blas::Trans::Yes;
+  cfgs[0].options.tb = blas::Trans::Yes;
+  cfgs[1].machine = MachineModel::ibm_sp(2);
+  cfgs[1].m = cfgs[1].n = cfgs[1].k = 1000;
+  cfgs[1].options.c_chunk = 64;
+  cfgs[1].options.k_chunk = 37;
+  cfgs[1].options.ordering.a_reuse = false;
+  cfgs[2].machine = MachineModel::linux_myrinet(512);
+  cfgs[2].m = cfgs[2].n = cfgs[2].k = 16000;
+  bool regrouped = false;
+  for (const analysis::AnalysisConfig& cfg : cfgs) {
+    analysis::AnalysisConfig off = cfg;
+    off.options.ordering.a_group = false;
+    const analysis::PlanModel on_model = analysis::build_plan_model(cfg);
+    const analysis::PlanModel off_model = analysis::build_plan_model(off);
+    ASSERT_EQ(on_model.ranks.size(), off_model.ranks.size());
+    for (std::size_t r = 0; r < on_model.ranks.size(); ++r) {
+      const std::vector<Task>& got = on_model.ranks[r].plan.tasks;
+      std::vector<Task> want = off_model.ranks[r].plan.tasks;
+      regrouped = regrouped || ids(got) != ids(want);
+      stable_sort_regroup(want, true);
+      ASSERT_EQ(ids(got), ids(want)) << cfg.machine.name << " rank " << r;
+      std::set<std::array<index_t, 4>> closed;
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        const Task& t = got[i];
+        if (t.in_domain()) continue;
+        ASSERT_EQ(closed.count({t.a_i0, t.a_j0, t.a_m, t.a_n}), 0u)
+            << cfg.machine.name << " rank " << r << " task " << i;
+        if (i + 1 == got.size() || !got[i + 1].same_a_patch(t))
+          closed.insert({t.a_i0, t.a_j0, t.a_m, t.a_n});
+      }
+    }
+  }
+  EXPECT_TRUE(regrouped) << "no plan exercised a non-trivial regroup";
 }
 
 TEST(Ordering, AReuseGroupsConsecutiveAPatches) {
