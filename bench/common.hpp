@@ -8,7 +8,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <optional>
 #include <string>
 
@@ -22,6 +21,7 @@
 #include "perf/model.hpp"
 #include "rma/rma.hpp"
 #include "trace/metrics_json.hpp"
+#include "util/env.hpp"
 #include "util/error.hpp"
 #include "util/table.hpp"
 
@@ -33,8 +33,7 @@ using trace::MetricsLog;
 /// can regenerate every BENCH_*.json in seconds; the emitted schema is
 /// identical to a full run (params record the sizes actually used).
 inline bool smoke_mode() {
-  const char* v = std::getenv("SRUMMA_BENCH_SMOKE");
-  return v != nullptr && *v != '\0' && *v != '0';
+  return env::flag("SRUMMA_BENCH_SMOKE").value_or(false);
 }
 
 /// Problem size under the current mode: `full` normally, `small` in smoke.

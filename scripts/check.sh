@@ -18,7 +18,9 @@
 #   1e. observability (docs/OBSERVABILITY.md): a small traced multiply
 #       (SRUMMA_TRACE) plus a smoke bench-metrics run, validating both
 #       emitted JSON documents (schema, matched async pairs, monotone
-#       per-rank instant/counter timestamps);
+#       per-rank instant/counter timestamps); then loud misconfiguration:
+#       quickstart must fail, naming the variable, under a mistyped
+#       variable name and under a malformed flag value;
 #   1f. the cooperative block cache (docs/CACHE.md): the full suite with
 #       SRUMMA_CACHE=1, then cache x RMA checker, then cache x fault
 #       injection (faults-labeled suites excluded, as in 1d) — caching
@@ -183,6 +185,21 @@ EOF
 else
   echo "check.sh: python3 not found, skipping trace JSON validation"
 fi
+# Misconfiguration fails loudly (util/env.hpp): a mistyped name and a
+# malformed flag value each stop the run with an error naming the variable.
+for setting in SRUMMA_ENGIN=1 SRUMMA_CACHE=false; do
+  if out="$(ulimit -c 0
+             env "$setting" "$build/examples/quickstart" --n 96 --nodes 2 2>&1)"
+  then
+    echo "check.sh: quickstart accepted $setting"
+    exit 1
+  fi
+  if [[ "$out" != *"${setting%%=*}"* ]]; then
+    echo "check.sh: the error for $setting does not name the variable"
+    exit 1
+  fi
+done
+echo "environment: a mistyped name and a malformed value both fail loudly"
 
 echo
 echo "== tier 1f: cooperative block cache (on x checker x faults) =="

@@ -2,6 +2,10 @@
 # Static analysis gate for src/, tests/, and bench/ (also wired as the
 # `lint` CMake target).
 #
+# First, a source rule: src/util/env.cpp is the only file under src/ and
+# bench/ that may call getenv, so every SRUMMA_* variable goes through the
+# one strict reader (util/env.hpp).
+#
 # Preferred backend: clang-tidy over a compile_commands.json, using the
 # checks in .clang-tidy (bugprone-*, concurrency-*, performance-*).  When
 # clang-tidy is not installed (the reference container ships GCC only) the
@@ -17,6 +21,15 @@ set -euo pipefail
 repo="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 build="${1:-$repo/build}"
 jobs="$(nproc 2>/dev/null || echo 2)"
+
+echo "== lint: getenv outside src/util/env.cpp =="
+if offenders="$(grep -rlE 'getenv[[:space:]]*\(' "$repo/src" "$repo/bench" \
+                  | grep -vx "$repo/src/util/env.cpp")"; then
+  echo "lint: getenv called outside src/util/env.cpp (use util/env.hpp):"
+  echo "$offenders"
+  exit 1
+fi
+echo "lint: one getenv reader"
 
 if command -v clang-tidy >/dev/null 2>&1; then
   echo "== lint: clang-tidy over src/ tests/ bench/ =="

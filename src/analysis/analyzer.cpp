@@ -5,6 +5,7 @@
 #include <set>
 #include <utility>
 
+#include "trace/json.hpp"
 #include "util/error.hpp"
 
 namespace srumma::analysis {
@@ -807,30 +808,12 @@ AnalysisReport analyze(const PlanModel& pm) {
   return rep;
 }
 
-namespace {
-
-void append_escaped_json(std::string& out, const std::string& s) {
-  out += '"';
-  for (const char ch : s) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      default:
-        if (static_cast<unsigned char>(ch) >= 0x20) out += ch;
-    }
-  }
-  out += '"';
-}
-
-}  // namespace
-
 std::string report_json(const PlanModel& pm, const AnalysisReport& rep,
                         const std::string& mutation,
                         const std::string& mutation_detail) {
   const SrummaOptions& o = pm.cfg.options;
   std::string j = "{\"schema\":\"srumma-analysis/1\",\"machine\":";
-  append_escaped_json(j, pm.cfg.machine.name);
+  j += trace::json_string(pm.cfg.machine.name);
   j += ",\"ranks\":" + std::to_string(pm.cfg.machine.total_ranks());
   j += ",\"m\":" + std::to_string(pm.cfg.m) +
        ",\"n\":" + std::to_string(pm.cfg.n) +
@@ -863,10 +846,10 @@ std::string report_json(const PlanModel& pm, const AnalysisReport& rep,
   j += ",\"pipeline_replay_peak_pins\":" +
        std::to_string(rep.pipeline_replay_peak_pins) + "}";
   j += ",\"mutation\":";
-  append_escaped_json(j, mutation);
+  j += trace::json_string(mutation);
   if (!mutation_detail.empty()) {
     j += ",\"mutation_detail\":";
-    append_escaped_json(j, mutation_detail);
+    j += trace::json_string(mutation_detail);
   }
   j += ",\"findings\":[";
   for (std::size_t i = 0; i < rep.findings.size(); ++i) {
@@ -883,7 +866,7 @@ std::string report_json(const PlanModel& pm, const AnalysisReport& rep,
     j += ",\"rank\":" + std::to_string(f.rank);
     j += ",\"task\":" + std::to_string(f.task);
     j += ",\"message\":";
-    append_escaped_json(j, f.message);
+    j += trace::json_string(f.message);
     j += "}";
   }
   j += "],\"certified\":";

@@ -4,6 +4,7 @@
 #include <map>
 
 #include "check/rma_checker.hpp"
+#include "trace/json.hpp"
 
 namespace srumma::analysis {
 
@@ -46,20 +47,6 @@ bool diag_covers(const trace::JournalRecord& d, const HbOp& a,
                  const HbOp& b) {
   if (d.seq != kNoSeq && (d.seq == a.seq || d.seq == b.seq)) return true;
   return d.rank == a.rank || d.rank == b.rank;
-}
-
-void append_escaped_json(std::string& out, const std::string& s) {
-  out += '"';
-  for (const char ch : s) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      default:
-        if (static_cast<unsigned char>(ch) >= 0x20) out += ch;
-    }
-  }
-  out += '"';
 }
 
 }  // namespace
@@ -168,7 +155,7 @@ HbResult analyze_journal(const std::vector<trace::JournalRecord>& recs) {
 
 std::string hb_report_json(const std::string& path, const HbResult& res) {
   std::string j = "{\"schema\":\"srumma-analysis-trace/1\",\"journal\":";
-  append_escaped_json(j, path);
+  j += trace::json_string(path);
   j += ",\"records\":" + std::to_string(res.n_records);
   j += ",\"ops\":" + std::to_string(res.ops.size());
   j += ",\"barriers\":" + std::to_string(res.n_barriers);
@@ -187,13 +174,13 @@ std::string hb_report_json(const std::string& path, const HbResult& res) {
       j += ",\"owner\":" + std::to_string(r.owner);
     }
     j += ",\"rank1\":" + std::to_string(a.rank) + ",\"kind1\":";
-    append_escaped_json(j, a.kind);
+    j += trace::json_string(a.kind);
     j += ",\"site1\":";
-    append_escaped_json(j, a.site);
+    j += trace::json_string(a.site);
     j += ",\"rank2\":" + std::to_string(b.rank) + ",\"kind2\":";
-    append_escaped_json(j, b.kind);
+    j += trace::json_string(b.kind);
     j += ",\"site2\":";
-    append_escaped_json(j, b.site);
+    j += trace::json_string(b.site);
     j += ",\"matched\":";
     j += r.matched ? "true" : "false";
     j += "}";

@@ -1,21 +1,11 @@
 #include "cache/block_cache.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 
 #include "util/error.hpp"
 
 namespace srumma::cache {
-
-CacheConfig CacheConfig::from_env(CacheConfig base) {
-  if (const char* v = std::getenv("SRUMMA_CACHE"))
-    base.enabled = *v != '\0' && *v != '0';
-  if (const char* v = std::getenv("SRUMMA_CACHE_CAP"))
-    base.capacity_bytes =
-        static_cast<std::uint64_t>(std::strtoull(v, nullptr, 10));
-  return base;
-}
 
 namespace {
 

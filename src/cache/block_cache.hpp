@@ -60,15 +60,13 @@
 
 namespace srumma::cache {
 
-/// Cache knobs resolved from RmaConfig + environment.
+/// Cache knobs resolved from RmaConfig + environment (RmaRuntime's
+/// constructor).
 struct CacheConfig {
   bool enabled = false;
   /// Per-domain capacity in bytes; 0 = size from the pipeline's lookahead
   /// footprint at each multiply (the begin_epoch default).
   std::uint64_t capacity_bytes = 0;
-
-  /// Apply SRUMMA_CACHE / SRUMMA_CACHE_CAP on top of `base`.
-  [[nodiscard]] static CacheConfig from_env(CacheConfig base);
 };
 
 /// Identity of one remote patch: the owning SymmetricRegion's allocation
@@ -138,7 +136,7 @@ class BlockCacheSet {
 
   /// Open this rank's domain for one multiply collective.  The first rank
   /// of the domain to enter drops every stale unpinned entry and sets the
-  /// capacity: SRUMMA_CACHE_CAP wins, else the installed config, else
+  /// capacity: the installed config's, else
   /// `default_capacity_bytes` (the caller's lookahead-footprint estimate).
   /// Must be called after a team barrier that separates multiplies.
   ///

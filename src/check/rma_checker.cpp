@@ -1,12 +1,12 @@
 #include "check/rma_checker.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <sstream>
 
 #include "runtime/team.hpp"
 #include "trace/journal.hpp"
+#include "util/env.hpp"
 #include "util/error.hpp"
 
 namespace srumma::check {
@@ -91,12 +91,10 @@ namespace {
 }  // namespace
 
 bool RmaChecker::env_enabled() {
-  const char* v = std::getenv("SRUMMA_RMA_CHECK");
-  if (v != nullptr) return *v != '\0' && std::strcmp(v, "0") != 0;
 #ifdef SRUMMA_RMA_CHECK_DEFAULT
-  return true;
+  return env::flag("SRUMMA_RMA_CHECK").value_or(true);
 #else
-  return false;
+  return env::flag("SRUMMA_RMA_CHECK").value_or(false);
 #endif
 }
 
@@ -105,9 +103,8 @@ RmaChecker::RmaChecker(Team& team, bool throw_on_diagnostic)
       throw_on_diagnostic_(throw_on_diagnostic),
       epoch_(static_cast<std::size_t>(team.size()), 0),
       completed_handles_(static_cast<std::size_t>(team.size())) {
-  const std::string journal_path = trace::journal_env_path();
-  if (!journal_path.empty())
-    journal_ = std::make_unique<trace::JournalWriter>(journal_path);
+  if (const auto path = env::text("SRUMMA_RMA_JOURNAL"))
+    journal_ = std::make_unique<trace::JournalWriter>(*path);
   observer_id_ = team_.add_epoch_observer([this](int r) { on_barrier(r); });
 }
 

@@ -28,7 +28,7 @@
 //       OutOfBounds        an op's footprint exceeds the owner's segment;
 //   (6) DoubleWait         wait() on an already-completed handle.
 //
-// Enabling: env SRUMMA_RMA_CHECK=1 (any non-"0" value), the CMake option
+// Enabling: env SRUMMA_RMA_CHECK=1, the CMake option
 // SRUMMA_RMA_CHECK (compiles the default to on), or RmaConfig::check.  When
 // disabled the runtime carries a single null-pointer test per hook — no
 // locks, no lookups, no allocation.

@@ -5,10 +5,10 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <map>
 #include <numeric>
 
+#include "util/env.hpp"
 #include "util/error.hpp"
 
 namespace srumma {
@@ -145,12 +145,8 @@ SrummaOptions tune_options(int rank, const MachineModel& mm,
     // (one get's payload per slot), so the pipeline never drains while an
     // issue is still paying t_s.  A patch is roughly (local C extent,
     // capped by c_chunk) x k_chunk doubles.
-    if (const char* env = std::getenv("SRUMMA_LOOKAHEAD")) {
-      char* end = nullptr;
-      const long v = std::strtol(env, &end, 10);
-      SRUMMA_REQUIRE(end != env && *end == '\0' && v >= 1 && v <= 64,
-                     "SRUMMA_LOOKAHEAD must be an integer in [1, 64]");
-      tuned.lookahead = static_cast<int>(v);
+    if (const auto env_lookahead = env::integer<int>("SRUMMA_LOOKAHEAD")) {
+      tuned.lookahead = *env_lookahead;
     } else {
       index_t est_rows =
           std::max({c.block_rows(rank), c.block_cols(rank), index_t{1}});

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <condition_variable>
-#include <cstdlib>
 #include <deque>
 #include <map>
 #include <memory>
@@ -19,6 +18,7 @@
 #include "runtime/abortable_wait.hpp"
 #include "runtime/team.hpp"
 #include "trace/tracer.hpp"
+#include "util/env.hpp"
 #include "util/error.hpp"
 
 namespace srumma::engine {
@@ -237,11 +237,9 @@ bool steal_admitted(const StealBid& bid) {
 }
 
 bool selected(EngineMode mode) {
-  if (mode == EngineMode::On) return true;
-  if (mode == EngineMode::Off) return false;
-  const char* env = std::getenv("SRUMMA_ENGINE");
-  return env != nullptr && *env != '\0' &&
-         !(env[0] == '0' && env[1] == '\0');
+  if (mode == EngineMode::Auto)
+    return env::flag("SRUMMA_ENGINE").value_or(false);
+  return mode == EngineMode::On;
 }
 
 void run_plan(Rank& me, DistMatrix& a, DistMatrix& b, DistMatrix& c,

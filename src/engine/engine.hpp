@@ -42,7 +42,7 @@
 namespace srumma::engine {
 
 /// Resolve the tri-state engine option: On/Off are explicit; Auto defers to
-/// the SRUMMA_ENGINE environment variable (unset, empty or "0" = Off).
+/// the SRUMMA_ENGINE environment variable (unset or 0 = Off).
 [[nodiscard]] bool selected(EngineMode mode);
 
 /// The commit-chain structure of a plan: tasks grouped by C tile, each

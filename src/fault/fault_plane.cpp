@@ -1,9 +1,9 @@
 #include "fault/fault_plane.hpp"
 
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
+#include "util/env.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -32,53 +32,12 @@ std::uint64_t combine(std::uint64_t seed, std::uint64_t stream,
   return x;
 }
 
-bool env_flag_present(const char* name, bool& any) {
-  if (std::getenv(name) != nullptr) any = true;
-  return any;
-}
-
-void parse_double(const char* name, double& out, bool& any) {
-  if (const char* v = std::getenv(name)) {
-    out = std::strtod(v, nullptr);
-    any = true;
-  }
-}
-
-void parse_int(const char* name, int& out, bool& any) {
-  if (const char* v = std::getenv(name)) {
-    out = static_cast<int>(std::strtol(v, nullptr, 10));
-    any = true;
-  }
-}
-
-void parse_u64(const char* name, std::uint64_t& out, bool& any) {
-  if (const char* v = std::getenv(name)) {
-    out = std::strtoull(v, nullptr, 10);
-    any = true;
-  }
-}
-
-void parse_kill_point(const char* name, KillPoint& out, bool& any) {
-  const char* v = std::getenv(name);
-  if (v == nullptr) return;
-  any = true;
-  const std::string s(v);
-  if (s == "none" || s.empty()) {
-    out = KillPoint::None;
-  } else if (s == "prefetch") {
-    out = KillPoint::Prefetch;
-  } else if (s == "chain") {
-    out = KillPoint::Chain;
-  } else if (s == "steal") {
-    out = KillPoint::Steal;
-  } else if (s == "barrier") {
-    out = KillPoint::Barrier;
-  } else {
-    SRUMMA_REQUIRE(false,
-                   "SRUMMA_FAULT_KILL_POINT: expected one of "
-                   "prefetch|chain|steal|barrier|none, got \"" +
-                       s + "\"");
-  }
+// `id` must be -1 (none) or one of the machine's `count` `what`.
+void require_id(const char* field, int id, int count, const char* what) {
+  SRUMMA_REQUIRE(id >= -1 && id < count,
+                 std::string("FaultConfig: ") + field + " " +
+                     std::to_string(id) + " out of range for a machine with " +
+                     std::to_string(count) + " " + what);
 }
 
 }  // namespace
@@ -86,24 +45,35 @@ void parse_kill_point(const char* name, KillPoint& out, bool& any) {
 std::optional<FaultConfig> FaultConfig::from_env() {
   FaultConfig cfg;
   bool any = false;
-  parse_u64("SRUMMA_FAULT_SEED", cfg.seed, any);
-  parse_double("SRUMMA_FAULT_FAIL_RATE", cfg.fail_rate, any);
-  parse_double("SRUMMA_FAULT_CORRUPT_RATE", cfg.corrupt_rate, any);
-  parse_double("SRUMMA_FAULT_DELAY_RATE", cfg.delay_rate, any);
-  parse_double("SRUMMA_FAULT_DELAY_FACTOR", cfg.delay_factor, any);
-  parse_int("SRUMMA_FAULT_STRAGGLER_NODE", cfg.straggler_node, any);
-  parse_double("SRUMMA_FAULT_STRAGGLER_FACTOR", cfg.straggler_factor, any);
-  parse_int("SRUMMA_FAULT_DEAD_DOMAIN", cfg.dead_domain, any);
-  parse_int("SRUMMA_FAULT_KILL_DOMAIN", cfg.kill_domain, any);
-  parse_kill_point("SRUMMA_FAULT_KILL_POINT", cfg.kill_point, any);
-  parse_double("SRUMMA_FAULT_KILL_AFTER_VTIME", cfg.kill_after_vtime, any);
-  parse_int("SRUMMA_FAULT_BUDDY_OFFSET", cfg.buddy_offset, any);
-  parse_int("SRUMMA_FAULT_ONLY_RANK", cfg.only_rank, any);
-  parse_int("SRUMMA_FAULT_ONLY_PEER", cfg.only_peer, any);
-  parse_u64("SRUMMA_FAULT_FIRST_OP", cfg.first_op, any);
-  parse_u64("SRUMMA_FAULT_LAST_OP", cfg.last_op, any);
-  parse_double("SRUMMA_FAULT_AFTER_VTIME", cfg.after_vtime, any);
-  env_flag_present("SRUMMA_FAULT", any);  // bare switch: defaults, no faults
+  const auto read = [&any](auto& field, auto value) {
+    if (!value) return;
+    field = *value;
+    any = true;
+  };
+  read(cfg.seed, env::integer<std::uint64_t>("SRUMMA_FAULT_SEED"));
+  read(cfg.fail_rate, env::real("SRUMMA_FAULT_FAIL_RATE"));
+  read(cfg.corrupt_rate, env::real("SRUMMA_FAULT_CORRUPT_RATE"));
+  read(cfg.delay_rate, env::real("SRUMMA_FAULT_DELAY_RATE"));
+  read(cfg.delay_factor, env::real("SRUMMA_FAULT_DELAY_FACTOR"));
+  read(cfg.straggler_node, env::integer<int>("SRUMMA_FAULT_STRAGGLER_NODE"));
+  read(cfg.straggler_factor, env::real("SRUMMA_FAULT_STRAGGLER_FACTOR"));
+  read(cfg.dead_domain, env::integer<int>("SRUMMA_FAULT_DEAD_DOMAIN"));
+  read(cfg.kill_domain, env::integer<int>("SRUMMA_FAULT_KILL_DOMAIN"));
+  if (const auto w = env::word("SRUMMA_FAULT_KILL_POINT")) {
+    cfg.kill_point = *w == "prefetch" ? KillPoint::Prefetch
+                     : *w == "chain"  ? KillPoint::Chain
+                     : *w == "steal"  ? KillPoint::Steal
+                     : *w == "barrier" ? KillPoint::Barrier
+                                       : KillPoint::None;
+    any = true;
+  }
+  read(cfg.kill_after_vtime, env::real("SRUMMA_FAULT_KILL_AFTER_VTIME"));
+  read(cfg.buddy_offset, env::integer<int>("SRUMMA_FAULT_BUDDY_OFFSET"));
+  read(cfg.only_rank, env::integer<int>("SRUMMA_FAULT_ONLY_RANK"));
+  read(cfg.only_peer, env::integer<int>("SRUMMA_FAULT_ONLY_PEER"));
+  read(cfg.first_op, env::integer<std::uint64_t>("SRUMMA_FAULT_FIRST_OP"));
+  read(cfg.last_op, env::integer<std::uint64_t>("SRUMMA_FAULT_LAST_OP"));
+  read(cfg.after_vtime, env::real("SRUMMA_FAULT_AFTER_VTIME"));
   if (!any) return std::nullopt;
   return cfg;
 }
@@ -119,19 +89,19 @@ FaultPlane::FaultPlane(const MachineModel& machine, FaultConfig cfg)
                  "FaultConfig: rates must lie in [0, 1]");
   SRUMMA_REQUIRE(cfg_.delay_factor >= 1.0 && cfg_.straggler_factor >= 1.0,
                  "FaultConfig: delay factors must be >= 1");
-  // Install-time range validation (docs/FAULTS.md): a structural-fault
-  // domain id outside this machine's domains would silently never fire —
-  // reject it here so a typo'd SRUMMA_FAULT_DEAD_DOMAIN / _KILL_DOMAIN
-  // fails loudly instead of producing a clean-looking fault-free run.
+  // Install-time range validation (docs/FAULTS.md): an id outside this
+  // machine would never fire and leave a clean-looking fault-free run, so
+  // a typo'd SRUMMA_FAULT_* id fails loudly here instead.
   const int domains = machine_.num_domains();
-  SRUMMA_REQUIRE(cfg_.dead_domain < domains,
-                 "FaultConfig: dead_domain " + std::to_string(cfg_.dead_domain) +
-                     " out of range for a machine with " +
-                     std::to_string(domains) + " shared-memory domain(s)");
-  SRUMMA_REQUIRE(cfg_.kill_domain < domains,
-                 "FaultConfig: kill_domain " + std::to_string(cfg_.kill_domain) +
-                     " out of range for a machine with " +
-                     std::to_string(domains) + " shared-memory domain(s)");
+  const int ranks = machine_.total_ranks();
+  require_id("dead_domain", cfg_.dead_domain, domains,
+             "shared-memory domain(s)");
+  require_id("kill_domain", cfg_.kill_domain, domains,
+             "shared-memory domain(s)");
+  require_id("straggler_node", cfg_.straggler_node, machine_.num_nodes,
+             "node(s)");
+  require_id("only_rank", cfg_.only_rank, ranks, "rank(s)");
+  require_id("only_peer", cfg_.only_peer, ranks, "rank(s)");
   if (cfg_.kill_point != KillPoint::None || cfg_.kill_domain >= 0) {
     SRUMMA_REQUIRE(cfg_.kill_point != KillPoint::None && cfg_.kill_domain >= 0,
                    "FaultConfig: kill_domain and kill_point must be set "
@@ -229,12 +199,6 @@ void FaultPlane::reset() noexcept {
   armed_.store(false, std::memory_order_release);
   killed_.store(false, std::memory_order_release);
   dead_mask_.store(0, std::memory_order_release);
-}
-
-std::shared_ptr<FaultPlane> plane_from_env(const MachineModel& machine) {
-  if (auto cfg = FaultConfig::from_env())
-    return std::make_shared<FaultPlane>(machine, *cfg);
-  return nullptr;
 }
 
 }  // namespace srumma::fault

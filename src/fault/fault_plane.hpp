@@ -226,9 +226,4 @@ class FaultPlane {
   std::atomic<std::uint64_t> dead_mask_{0};  // domains declared dead (bitset)
 };
 
-/// Convenience: build a plane from the environment (nullptr when no
-/// SRUMMA_FAULT_* knob is set).
-[[nodiscard]] std::shared_ptr<FaultPlane> plane_from_env(
-    const MachineModel& machine);
-
 }  // namespace srumma::fault

@@ -3,27 +3,24 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
 #include "cache/block_cache.hpp"
 #include "runtime/abortable_wait.hpp"
 #include "trace/tracer.hpp"
+#include "util/env.hpp"
 #include "util/error.hpp"
 
 namespace srumma {
 
-RetryPolicy RetryPolicy::from_env(RetryPolicy base) {
-  if (const char* v = std::getenv("SRUMMA_FAULT_MAX_ATTEMPTS"))
-    base.max_attempts = static_cast<int>(std::strtol(v, nullptr, 10));
-  if (const char* v = std::getenv("SRUMMA_FAULT_BACKOFF_BASE"))
-    base.backoff_base = std::strtod(v, nullptr);
-  if (const char* v = std::getenv("SRUMMA_FAULT_BACKOFF_MULT"))
-    base.backoff_mult = std::strtod(v, nullptr);
-  if (const char* v = std::getenv("SRUMMA_FAULT_OP_TIMEOUT"))
-    base.op_timeout = std::strtod(v, nullptr);
-  return base;
+RetryPolicy RetryPolicy::from_env() {
+  const RetryPolicy d;
+  return {
+      env::integer<int>("SRUMMA_FAULT_MAX_ATTEMPTS").value_or(d.max_attempts),
+      env::real("SRUMMA_FAULT_BACKOFF_BASE").value_or(d.backoff_base),
+      env::real("SRUMMA_FAULT_BACKOFF_MULT").value_or(d.backoff_mult),
+      env::real("SRUMMA_FAULT_OP_TIMEOUT").value_or(d.op_timeout)};
 }
 
 RmaRuntime::RmaRuntime(Team& team, RmaConfig cfg)
@@ -40,12 +37,13 @@ RmaRuntime::RmaRuntime(Team& team, RmaConfig cfg)
         std::make_shared<fault::FaultPlane>(team_.machine(), *cfg.faults));
   if (cfg.check.value_or(check::RmaChecker::env_enabled()))
     checker_ = std::make_unique<check::RmaChecker>(team, cfg.check_throw);
-  cache::CacheConfig cache_cfg;
-  cache_cfg.capacity_bytes = cfg.cache_capacity;
-  cache_cfg = cache::CacheConfig::from_env(cache_cfg);
-  if (cfg.cache) cache_cfg.enabled = *cfg.cache;
-  if (cache_cfg.enabled)
-    cache_ = std::make_unique<cache::BlockCacheSet>(team, cache_cfg);
+  // A non-zero capacity set in code beats SRUMMA_CACHE_CAP; 0 defers to it.
+  const auto env_capacity = env::integer<std::uint64_t>("SRUMMA_CACHE_CAP");
+  if (cfg.cache.value_or(env::flag("SRUMMA_CACHE").value_or(false)))
+    cache_ = std::make_unique<cache::BlockCacheSet>(
+        team, cache::CacheConfig{true, cfg.cache_capacity != 0
+                                           ? cfg.cache_capacity
+                                           : env_capacity.value_or(0)});
   // Let Team::abort wake ranks parked in a collective allocation promptly.
   alloc_cv_id_ = team_.add_abort_cv(&alloc_cv_);
 }

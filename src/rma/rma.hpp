@@ -80,12 +80,9 @@ struct RetryPolicy {
   /// overrun is still counted in rma_op_timeouts.
   double op_timeout = 0.0;
 
-  /// `base` with any SRUMMA_FAULT_MAX_ATTEMPTS / SRUMMA_FAULT_BACKOFF_BASE /
-  /// SRUMMA_FAULT_BACKOFF_MULT / SRUMMA_FAULT_OP_TIMEOUT overrides applied.
-  [[nodiscard]] static RetryPolicy from_env(RetryPolicy base);
-  [[nodiscard]] static RetryPolicy from_env() {
-    return from_env(RetryPolicy{});
-  }
+  /// The defaults with any SRUMMA_FAULT_MAX_ATTEMPTS / _BACKOFF_BASE /
+  /// _BACKOFF_MULT / _OP_TIMEOUT values applied.
+  [[nodiscard]] static RetryPolicy from_env();
 };
 
 /// Tuning knobs for protocol experiments (Fig. 9) and checking.
@@ -107,8 +104,9 @@ struct RmaConfig {
   /// Enable the domain-level cooperative block cache (src/cache), overriding
   /// the SRUMMA_CACHE environment default (off).
   std::optional<bool> cache;
-  /// Per-domain cache capacity in bytes; 0 = size from the pipeline's
-  /// lookahead footprint at each multiply.  SRUMMA_CACHE_CAP overrides.
+  /// Per-domain cache capacity in bytes; 0 defers to SRUMMA_CACHE_CAP, and
+  /// then to sizing from the pipeline's lookahead footprint at each
+  /// multiply.
   std::uint64_t cache_capacity = 0;
 };
 

@@ -6,13 +6,12 @@
 
 #include <condition_variable>
 #include <cstdint>
-#include <cstdlib>
 #include <deque>
 #include <mutex>
-#include <string>
 #include <thread>
 #include <vector>
 
+#include "util/env.hpp"
 #include "util/error.hpp"
 
 // Sanitizer fiber annotations.  GCC defines __SANITIZE_THREAD__ /
@@ -352,33 +351,15 @@ void run_fibers(int n, int workers, std::size_t stack_bytes,
   t_worker = saved_worker;
 }
 
-namespace {
-
-// The integer value of environment variable `name`, or `dflt` when it is
-// unset.  Any other value outside [lo, hi] is an error.
-long env_integer(const char* name, long dflt, long lo, long hi) {
-  const char* s = std::getenv(name);
-  if (s == nullptr) return dflt;
-  char* end = nullptr;
-  const long v = std::strtol(s, &end, 10);
-  if (end == s || *end != '\0' || v < lo || v > hi)
-    throw Error(std::string(name) + "='" + s +
-                "' is invalid: expected an integer in [" + std::to_string(lo) +
-                ", " + std::to_string(hi) + "]");
-  return v;
-}
-
-}  // namespace
-
 int default_workers() {
   const unsigned hw = std::thread::hardware_concurrency();
-  return static_cast<int>(
-      env_integer("SRUMMA_HARNESS_THREADS", hw > 0 ? hw : 1, 1, 4096));
+  return env::integer<int>("SRUMMA_HARNESS_THREADS")
+      .value_or(hw > 0 ? static_cast<int>(hw) : 1);
 }
 
 std::size_t default_stack_bytes() {
   return static_cast<std::size_t>(
-             env_integer("SRUMMA_HARNESS_STACK_KB", 512, 64, 64 * 1024)) *
+             env::integer<int>("SRUMMA_HARNESS_STACK_KB").value_or(512)) *
          1024u;
 }
 

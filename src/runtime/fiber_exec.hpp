@@ -47,12 +47,9 @@ void run_fibers(int n, int workers, std::size_t stack_bytes,
                 const std::function<void(int)>& body);
 
 /// SRUMMA_HARNESS_THREADS, else std::thread::hardware_concurrency(), >= 1.
-/// Throws srumma::Error unless the variable is unset or an integer in
-/// [1, 4096].
 [[nodiscard]] int default_workers();
 
-/// SRUMMA_HARNESS_STACK_KB * 1024, else 512 KiB.  Throws srumma::Error
-/// unless the variable is unset or an integer in [64, 65536].
+/// SRUMMA_HARNESS_STACK_KB * 1024, else 512 KiB.
 [[nodiscard]] std::size_t default_stack_bytes();
 
 }  // namespace srumma::exec

@@ -2,14 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <string>
 #include <thread>
 
 #include "runtime/fiber_exec.hpp"
 #include "trace/chrome_trace.hpp"
+#include "util/env.hpp"
 #include "util/error.hpp"
 #include "util/units.hpp"
 
@@ -87,11 +86,13 @@ Team::Team(MachineModel machine)
       net_(machine_),
       trace_board_(static_cast<std::size_t>(size_)),
       value_board_(static_cast<std::size_t>(size_), 0.0) {
+  env::check_names();
   ranks_.reserve(static_cast<std::size_t>(size_));
   for (int r = 0; r < size_; ++r) {
     ranks_.push_back(std::make_unique<Rank>(this, r));
   }
-  faults_ = fault::plane_from_env(machine_);
+  if (auto cfg = fault::FaultConfig::from_env())
+    faults_ = std::make_shared<fault::FaultPlane>(machine_, *cfg);
   if (auto cfg = trace::TracerConfig::from_env()) enable_tracer(*cfg);
 }
 
@@ -118,18 +119,6 @@ Rank& Team::rank(int id) {
   return *ranks_[static_cast<std::size_t>(id)];
 }
 
-namespace {
-
-ExecMode mode_from_env() {
-  const char* s = std::getenv("SRUMMA_HARNESS");
-  if (s == nullptr || std::strcmp(s, "pooled") == 0) return ExecMode::Pooled;
-  if (std::strcmp(s, "threads") == 0) return ExecMode::Threads;
-  throw Error(std::string("SRUMMA_HARNESS='") + s +
-              "' is invalid: expected pooled or threads");
-}
-
-}  // namespace
-
 void Team::run(const std::function<void(Rank&)>& body) {
   SRUMMA_REQUIRE(!aborted(), "team was aborted; call reset() before reuse");
   std::mutex err_mu;
@@ -146,10 +135,13 @@ void Team::run(const std::function<void(Rank&)>& body) {
     }
   };
 
-  ExecMode mode = exec_mode_ == ExecMode::Auto ? mode_from_env() : exec_mode_;
-  // A body that itself runs a nested team (the request plane does this from
-  // non-fiber scheduler threads, but be safe) cannot stack a second fiber
-  // pool on a fiber: fall back to thread-per-rank for the nested run.
+  ExecMode mode = exec_mode_;
+  if (mode == ExecMode::Auto)
+    mode = env::word("SRUMMA_HARNESS") == "threads" ? ExecMode::Threads
+                                                    : ExecMode::Pooled;
+  // A body that itself runs a nested team cannot stack a second fiber pool
+  // on a fiber: fall back to thread-per-rank for the nested run.  No
+  // in-tree code outside the tests nests runs this way.
   if (mode == ExecMode::Pooled && exec::on_fiber()) mode = ExecMode::Threads;
 
   if (mode == ExecMode::Pooled) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 
 #include "core/srumma.hpp"
@@ -15,19 +14,6 @@ namespace srumma::service {
 
 namespace {
 
-double env_double(const char* name, double dflt) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return dflt;
-  char* end = nullptr;
-  const double x = std::strtod(v, &end);
-  SRUMMA_REQUIRE(end != v, std::string(name) + ": not a number");
-  return x;
-}
-
-int env_int(const char* name, int dflt) {
-  return static_cast<int>(env_double(name, static_cast<double>(dflt)));
-}
-
 /// One attempt of one job on a fresh sub-team of `lease.nodes` nodes —
 /// the single execution path shared by the service and run_standalone, so
 /// the bitwise-identity contract is by construction, not by replication.
@@ -39,8 +25,16 @@ MultiplyResult attempt_job(const MachineModel& machine, NodeLease lease,
                            int attempt, double* makespan) {
   SubTeam st(machine, lease);
   RmaConfig rc = cfg.rma;
-  if (rc.faults && attempt > 0) {
-    rc.faults->seed += static_cast<std::uint64_t>(attempt);
+  if (rc.faults) {
+    fault::FaultConfig& f = *rc.faults;
+    f.seed += static_cast<std::uint64_t>(attempt);
+    // Ids are the sub-team's own: one that lacks the scoped rank or node
+    // injects none of those faults (GemmService checked the whole machine).
+    if (f.only_rank >= st.ranks() || f.only_peer >= st.ranks()) {
+      f.fail_rate = f.corrupt_rate = f.delay_rate = 0.0;
+      f.only_rank = f.only_peer = -1;
+    }
+    if (f.straggler_node >= lease.nodes) f.straggler_node = -1;
   }
   RmaRuntime rma(st.team(), rc);
   SrummaOptions opt = cfg.multiply;
@@ -128,28 +122,6 @@ const char* state_name(JobState s) {
   return "?";
 }
 
-ServiceConfig ServiceConfig::from_env() {
-  ServiceConfig cfg;
-  cfg.queue_cap = env_int("SRUMMA_SERVICE_QUEUE_CAP", cfg.queue_cap);
-  cfg.max_inflight = env_int("SRUMMA_SERVICE_MAX_INFLIGHT", cfg.max_inflight);
-  cfg.flops_per_node =
-      env_double("SRUMMA_SERVICE_FLOPS_PER_NODE", cfg.flops_per_node);
-  cfg.batch_flops = env_double("SRUMMA_SERVICE_BATCH_FLOPS", cfg.batch_flops);
-  cfg.batch_max = env_int("SRUMMA_SERVICE_BATCH_MAX", cfg.batch_max);
-  cfg.retries = env_int("SRUMMA_SERVICE_RETRIES", cfg.retries);
-  cfg.age_boost = env_double("SRUMMA_SERVICE_AGE_BOOST", cfg.age_boost);
-  if (const char* p = std::getenv("SRUMMA_SERVICE_TRACE");
-      p != nullptr && *p != '\0') {
-    cfg.trace_path = p;
-  }
-  SRUMMA_REQUIRE(cfg.queue_cap >= 0 && cfg.max_inflight >= 0 &&
-                     cfg.flops_per_node > 0 && cfg.batch_flops >= 0 &&
-                     cfg.batch_max >= 1 && cfg.retries >= 0 &&
-                     cfg.age_boost >= 0,
-                 "SRUMMA_SERVICE_*: knob out of range");
-  return cfg;
-}
-
 GemmService::GemmService(MachineModel machine, ServiceConfig cfg)
     : machine_(std::move(machine)),
       cfg_(std::move(cfg)),
@@ -158,6 +130,8 @@ GemmService::GemmService(MachineModel machine, ServiceConfig cfg)
   SRUMMA_REQUIRE(cfg_.flops_per_node > 0, "flops_per_node must be positive");
   SRUMMA_REQUIRE(cfg_.batch_max >= 1, "batch_max must be at least 1");
   SRUMMA_REQUIRE(cfg_.retries >= 0, "retries must be non-negative");
+  // Fault ids must exist on the whole machine; attempt_job scopes them.
+  if (cfg_.rma.faults) const fault::FaultPlane ids(machine_, *cfg_.rma.faults);
 }
 
 SubmitResult GemmService::submit(const JobSpec& spec, double arrival_vt) {

@@ -37,50 +37,45 @@
 
 namespace srumma::service {
 
-/// Request-plane knobs; every field has a SRUMMA_SERVICE_* environment
-/// override (docs/SERVICE.md §6).
+/// Request-plane knobs, set in code (docs/SERVICE.md §6).
 struct ServiceConfig {
   /// Admission control: maximum jobs *waiting* (running jobs excluded).
   /// A submit finding the queue full is shed with RejectReason::QueueFull.
-  /// 0 = unbounded.  [SRUMMA_SERVICE_QUEUE_CAP]
+  /// 0 = unbounded.
   int queue_cap = 64;
   /// Maximum concurrently running dispatches; 0 = limited only by nodes.
-  /// [SRUMMA_SERVICE_MAX_INFLIGHT]
   int max_inflight = 0;
   /// Sub-team sizing divisor: a job gets clamp(ceil(flops / flops_per_node),
-  /// 1, num_nodes) nodes.  [SRUMMA_SERVICE_FLOPS_PER_NODE]
+  /// 1, num_nodes) nodes.
   double flops_per_node = 2e8;
   /// Jobs under this FLOP cost are batchable: a contiguous scan-order run
   /// of them (up to batch_max) shares one lease, executing back to back.
-  /// 0 disables batching.  [SRUMMA_SERVICE_BATCH_FLOPS]
+  /// 0 disables batching.
   double batch_flops = 0.0;
-  /// Maximum jobs per batch.  [SRUMMA_SERVICE_BATCH_MAX]
+  /// Maximum jobs per batch.
   int batch_max = 4;
   /// Retries after a failed attempt (each on a fresh sub-team; a
   /// config-installed fault plane is reseeded per attempt so the retry
-  /// does not deterministically replay the fault).  [SRUMMA_SERVICE_RETRIES]
+  /// does not deterministically replay the fault).
   int retries = 1;
   /// Aging: +1 effective priority per this many virtual seconds waited;
-  /// 0 disables aging.  [SRUMMA_SERVICE_AGE_BOOST]
+  /// 0 disables aging.
   double age_boost = 0.0;
   /// Serial job-at-a-time baseline arm: every job gets the whole machine,
   /// one dispatch in flight, no batching — what the repo could do before
   /// the request plane existed.  bench_service measures the concurrent
-  /// plane against this.  (No env knob: an arm selector, not a tunable.)
+  /// plane against this.
   bool serialize = false;
   /// Chrome-trace path for the service-level job spans (flush_trace()
-  /// writes it; empty = record-only).  [SRUMMA_SERVICE_TRACE]
+  /// writes it; empty = record-only).
   std::string trace_path;
 
   /// Options forwarded to every srumma_multiply (ta/tb/alpha/beta are
   /// overridden per job from its spec).
   SrummaOptions multiply;
   /// RMA stack configuration for every sub-team (checker, cache, retry,
-  /// fault plane).
+  /// fault plane; docs/SERVICE.md §6 on fault ids).
   RmaConfig rma;
-
-  /// Defaults + SRUMMA_SERVICE_* environment overrides.
-  [[nodiscard]] static ServiceConfig from_env();
 };
 
 /// Aggregates over one service run (docs/SERVICE.md §8); serialized as a

@@ -5,6 +5,8 @@
 #include <set>
 #include <sstream>
 
+#include "trace/json.hpp"
+
 namespace srumma::trace {
 
 namespace {
@@ -16,15 +18,6 @@ std::string num(double v) {
   os.precision(15);
   os << v;
   return os.str();
-}
-
-std::string escape(const char* s) {
-  std::string out;
-  for (; *s != '\0'; ++s) {
-    if (*s == '"' || *s == '\\') out.push_back('\\');
-    out.push_back(*s);
-  }
-  return out;
 }
 
 /// One emitted JSON event object; `first` tracks the comma discipline.
@@ -45,7 +38,7 @@ class EventList {
 
 void common_fields(std::ostream& os, const char* name, const char* cat,
                    const char* ph, double ts_us, int pid, int tid) {
-  os << "{\"name\":\"" << escape(name) << "\",\"cat\":\"" << cat
+  os << "{\"name\":" << json_string(name) << ",\"cat\":\"" << cat
      << "\",\"ph\":\"" << ph << "\",\"ts\":" << num(ts_us)
      << ",\"pid\":" << pid << ",\"tid\":" << tid;
 }

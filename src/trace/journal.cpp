@@ -5,6 +5,7 @@
 #include <sstream>
 #include <utility>
 
+#include "trace/json.hpp"
 #include "util/error.hpp"
 
 namespace srumma::trace {
@@ -18,21 +19,6 @@ std::mutex g_opened_mu;
 std::set<std::string>& opened_paths() {
   static auto* s = new std::set<std::string>();
   return *s;
-}
-
-void append_escaped(std::string& out, const std::string& s) {
-  out += '"';
-  for (const char ch : s) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(ch) >= 0x20) out += ch;
-    }
-  }
-  out += '"';
 }
 
 void append_field(std::string& out, const char* key, std::uint64_t v) {
@@ -55,12 +41,12 @@ JournalWriter::JournalWriter(const std::string& path) {
 
 void JournalWriter::record(const JournalRecord& r) {
   std::string line = "{\"ev\":";
-  append_escaped(line, r.ev);
+  line += json_string(r.ev);
   line += ",\"rank\":";
   line += std::to_string(r.rank);
   if (!r.kind.empty()) {
     line += ",\"kind\":";
-    append_escaped(line, r.kind);
+    line += json_string(r.kind);
   }
   line += ",\"owner\":";
   line += std::to_string(r.owner);
@@ -81,17 +67,12 @@ void JournalWriter::record(const JournalRecord& r) {
   }
   if (!r.site.empty()) {
     line += ",\"site\":";
-    append_escaped(line, r.site);
+    line += json_string(r.site);
   }
   line += "}\n";
   std::lock_guard<std::mutex> lk(mu_);
   out_ << line;
   out_.flush();  // diagnostics may throw right after recording
-}
-
-std::string journal_env_path() {
-  const char* v = std::getenv("SRUMMA_RMA_JOURNAL");
-  return v == nullptr ? std::string{} : std::string{v};
 }
 
 namespace {

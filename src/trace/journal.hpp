@@ -63,9 +63,6 @@ class JournalWriter {
   std::ofstream out_;
 };
 
-/// $SRUMMA_RMA_JOURNAL, or "" when journaling is off.
-[[nodiscard]] std::string journal_env_path();
-
 /// Parse a journal file.  Throws srumma::Error on unreadable files or
 /// malformed lines; unknown keys are skipped.
 [[nodiscard]] std::vector<JournalRecord> read_journal(const std::string& path);

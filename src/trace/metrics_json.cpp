@@ -1,8 +1,10 @@
 #include "trace/metrics_json.hpp"
 
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
+
+#include "trace/json.hpp"
+#include "util/env.hpp"
 
 namespace srumma::trace {
 
@@ -18,26 +20,18 @@ std::string num(double v) {
   return os.str();
 }
 
+std::string num(std::uint64_t v) { return std::to_string(v); }
+
 // wall / virtual; 0 when the row has no virtual-time denominator.
 double wall_per_vs(double wall_seconds, double virtual_seconds) {
   return virtual_seconds > 0.0 ? wall_seconds / virtual_seconds : 0.0;
-}
-
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
 }
 
 void emit_map(std::ostream& os, const NumberMap& m) {
   os << "{";
   bool first = true;
   for (const auto& [k, v] : m) {
-    os << (first ? "" : ",") << "\"" << escape(k) << "\":" << num(v);
+    os << (first ? "" : ",") << json_string(k) << ":" << num(v);
     first = false;
   }
   os << "}";
@@ -46,51 +40,14 @@ void emit_map(std::ostream& os, const NumberMap& m) {
 }  // namespace
 
 std::string counters_json(const TraceCounters& t) {
-  // Keep in lockstep with TraceCounters (the sizeof guard in
-  // trace/report.cpp trips when a field is added without updating the
-  // serializers).
   std::ostringstream os;
-  os << "{"
-     << "\"time_compute\":" << num(t.time_compute)
-     << ",\"gemm_calls\":" << t.gemm_calls
-     << ",\"flops\":" << num(t.flops)
-     << ",\"time_comm\":" << num(t.time_comm)
-     << ",\"time_wait\":" << num(t.time_wait)
-     << ",\"time_noise\":" << num(t.time_noise)
-     << ",\"bytes_shm\":" << t.bytes_shm
-     << ",\"bytes_remote\":" << t.bytes_remote
-     << ",\"bytes_msg\":" << t.bytes_msg
-     << ",\"gets\":" << t.gets
-     << ",\"puts\":" << t.puts
-     << ",\"sends\":" << t.sends
-     << ",\"recvs\":" << t.recvs
-     << ",\"direct_tasks\":" << t.direct_tasks
-     << ",\"copy_tasks\":" << t.copy_tasks
-     << ",\"buffer_bytes_peak\":" << t.buffer_bytes_peak
-     << ",\"faults_injected\":" << t.faults_injected
-     << ",\"faults_corrupted\":" << t.faults_corrupted
-     << ",\"faults_delayed\":" << t.faults_delayed
-     << ",\"rma_retries\":" << t.rma_retries
-     << ",\"rma_op_timeouts\":" << t.rma_op_timeouts
-     << ",\"rma_domain_dead\":" << t.rma_domain_dead
-     << ",\"task_requeues\":" << t.task_requeues
-     << ",\"task_reissues\":" << t.task_reissues
-     << ",\"shm_fallbacks\":" << t.shm_fallbacks
-     << ",\"checksum_redos\":" << t.checksum_redos
-     << ",\"time_recovery\":" << num(t.time_recovery)
-     << ",\"cache_hits\":" << t.cache_hits
-     << ",\"cache_joins\":" << t.cache_joins
-     << ",\"cache_misses\":" << t.cache_misses
-     << ",\"cache_bypasses\":" << t.cache_bypasses
-     << ",\"cache_evictions\":" << t.cache_evictions
-     << ",\"cache_rearms\":" << t.cache_rearms
-     << ",\"cache_refetches\":" << t.cache_refetches
-     << ",\"cache_bytes_saved\":" << t.cache_bytes_saved
-     << ",\"engine_tasks\":" << t.engine_tasks
-     << ",\"tasks_stolen\":" << t.tasks_stolen
-     << ",\"steals_denied\":" << t.steals_denied
-     << ",\"tasks_adopted\":" << t.tasks_adopted
-     << "}";
+  const char* sep = "{";
+#define SRUMMA_COUNTER_JSON(type, name, agg)   \
+  os << sep << "\"" #name "\":" << num(t.name); \
+  sep = ",";
+  SRUMMA_TRACE_COUNTERS(SRUMMA_COUNTER_JSON)
+#undef SRUMMA_COUNTER_JSON
+  os << "}";
   return os.str();
 }
 
@@ -130,12 +87,12 @@ void MetricsLog::add_metrics(const std::string& label, NumberMap metrics,
 
 std::string MetricsLog::json() const {
   std::ostringstream os;
-  os << "{\"schema\":\"srumma-bench-metrics/1\",\"bench\":\""
-     << escape(bench_) << "\",\"rows\":[";
+  os << "{\"schema\":\"srumma-bench-metrics/1\",\"bench\":"
+     << json_string(bench_) << ",\"rows\":[";
   bool first = true;
   for (const Row& row : rows_) {
-    os << (first ? "" : ",") << "\n  {\"label\":\"" << escape(row.label)
-       << "\",\"params\":";
+    os << (first ? "" : ",") << "\n  {\"label\":" << json_string(row.label)
+       << ",\"params\":";
     emit_map(os, row.params);
     os << ",\"metrics\":";
     emit_map(os, row.metrics);
@@ -156,15 +113,9 @@ bool MetricsLog::write_file(const std::string& path) const {
   return static_cast<bool>(f);
 }
 
-std::string MetricsLog::env_path() {
-  const char* p = std::getenv("SRUMMA_BENCH_JSON");
-  return p != nullptr ? std::string(p) : std::string();
-}
-
 bool MetricsLog::write_env() const {
-  const std::string path = env_path();
-  if (path.empty()) return true;
-  return write_file(path);
+  const auto path = env::text("SRUMMA_BENCH_JSON");
+  return !path || write_file(*path);
 }
 
 }  // namespace srumma::trace

@@ -70,11 +70,9 @@ class MetricsLog {
   [[nodiscard]] std::string json() const;
   bool write_file(const std::string& path) const;
 
-  /// SRUMMA_BENCH_JSON, or "" when unset — benches call write_env() once at
-  /// exit; with the variable unset it is a no-op, so plain bench runs keep
-  /// printing tables only.
-  [[nodiscard]] static std::string env_path();
-  /// Write json() to env_path() when set.  Returns false only on I/O error.
+  /// Write json() to SRUMMA_BENCH_JSON when set — benches call it once at
+  /// exit, so plain bench runs keep printing tables only.  Returns false
+  /// only on I/O error.
   bool write_env() const;
 
  private:

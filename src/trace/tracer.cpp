@@ -1,6 +1,8 @@
 #include "trace/tracer.hpp"
 
-#include <cstdlib>
+#include <utility>
+
+#include "util/env.hpp"
 
 namespace srumma::trace {
 
@@ -61,14 +63,12 @@ const char* counter_name(CounterId c) {
 }
 
 std::optional<TracerConfig> TracerConfig::from_env() {
-  const char* path = std::getenv("SRUMMA_TRACE");
-  if (path == nullptr || *path == '\0') return std::nullopt;
+  const auto cap = env::integer<std::uint64_t>("SRUMMA_TRACE_CAP");
+  auto path = env::text("SRUMMA_TRACE");
+  if (!path) return std::nullopt;
   TracerConfig cfg;
-  cfg.path = path;
-  if (const char* cap = std::getenv("SRUMMA_TRACE_CAP")) {
-    const long v = std::strtol(cap, nullptr, 10);
-    if (v > 0) cfg.ring_capacity = static_cast<std::size_t>(v);
-  }
+  cfg.path = std::move(*path);
+  if (cap) cfg.ring_capacity = static_cast<std::size_t>(*cap);
   return cfg;
 }
 

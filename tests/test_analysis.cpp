@@ -108,6 +108,20 @@ TEST(Analysis, ReportJsonShape) {
   EXPECT_NE(j.find("\"cache_pins_bound\""), std::string::npos);
 }
 
+TEST(Analysis, ReportJsonIsValidForAnyLabel) {
+  const std::string label = testing::hostile_label();
+  AnalysisConfig cfg = base_config();
+  cfg.machine.name = label;
+  const analysis::PlanModel pm = analysis::build_plan_model(cfg);
+  const AnalysisReport rep = analysis::analyze(pm);
+  const testing::JsonValue doc =
+      testing::JsonParser(analysis::report_json(pm, rep, label, label))
+          .parse();
+  EXPECT_EQ(doc.at("machine").str, label);
+  EXPECT_EQ(doc.at("mutation").str, label);
+  EXPECT_EQ(doc.at("mutation_detail").str, label);
+}
+
 // -- seeded mutations ---------------------------------------------------------
 
 bool has_kind(const AnalysisReport& rep, FindingKind kind) {
@@ -423,6 +437,15 @@ TEST(AnalysisHb, RealRunCrossValidates) {
   EXPECT_GT(res.ops.size(), 0u);
   EXPECT_EQ(res.missed(), 0u);
   std::remove(path.c_str());
+}
+
+TEST(AnalysisHb, TraceReportJsonIsValidForAnyLabel) {
+  const std::string label = testing::hostile_label();
+  const testing::JsonValue doc =
+      testing::JsonParser(
+          analysis::hb_report_json(label, analysis::analyze_journal({})))
+          .parse();
+  EXPECT_EQ(doc.at("journal").str, label);
 }
 
 TEST(AnalysisHb, TraceReportJsonShape) {

@@ -77,6 +77,66 @@ TEST(FaultPlane, AbsentByDefault) {
   EXPECT_FALSE(fault::FaultConfig::from_env().has_value());
 }
 
+// Install-time id checks: each id is -1 (none) or an id of the plane's
+// machine, so an out-of-range id fails instead of running fault-free.
+// Returns the srumma::Error message, or "" when the plane installs.
+std::string install_error(const fault::FaultConfig& f) {
+  try {
+    fault::FaultPlane plane(MachineModel::testing(4, 2), f);  // 8 ranks
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(FaultPlane, RejectsOutOfRangeStragglerNode) {
+  fault::FaultConfig f;
+  for (int ok : {-1, 0, 3}) {
+    f.straggler_node = ok;
+    EXPECT_EQ(install_error(f), "") << ok;
+  }
+  for (int bad : {4, 9, -2}) {
+    f.straggler_node = bad;
+    const std::string msg = install_error(f);
+    EXPECT_NE(msg.find("straggler_node " + std::to_string(bad) +
+                       " out of range for a machine with 4 node(s)"),
+              std::string::npos)
+        << msg;
+  }
+}
+
+TEST(FaultPlane, RejectsOutOfRangeOnlyRank) {
+  fault::FaultConfig f;
+  for (int ok : {-1, 0, 7}) {
+    f.only_rank = ok;
+    EXPECT_EQ(install_error(f), "") << ok;
+  }
+  for (int bad : {8, -2}) {
+    f.only_rank = bad;
+    const std::string msg = install_error(f);
+    EXPECT_NE(msg.find("only_rank " + std::to_string(bad) +
+                       " out of range for a machine with 8 rank(s)"),
+              std::string::npos)
+        << msg;
+  }
+}
+
+TEST(FaultPlane, RejectsOutOfRangeOnlyPeer) {
+  fault::FaultConfig f;
+  for (int ok : {-1, 0, 7}) {
+    f.only_peer = ok;
+    EXPECT_EQ(install_error(f), "") << ok;
+  }
+  for (int bad : {8, -2}) {
+    f.only_peer = bad;
+    const std::string msg = install_error(f);
+    EXPECT_NE(msg.find("only_peer " + std::to_string(bad) +
+                       " out of range for a machine with 8 rank(s)"),
+              std::string::npos)
+        << msg;
+  }
+}
+
 TEST(FaultPlane, KillKnobsDoNotShiftRandomStreams) {
   // The permanent kill (docs/FAULTS.md §7) is structural, not random:
   // reach_kill_point consumes NO rng draw.  Two planes with identical

@@ -345,27 +345,7 @@ TEST(HarnessPool, NestedRunFallsBackToThreads) {
 // ---------------------------------------------------------------------------
 // Harness environment variables: a malformed value throws from Team::run.
 
-// Sets an environment variable for one scope, then restores the old value.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    if (const char* old = std::getenv(name)) saved_ = old;
-    setenv(name, value, 1);
-  }
-  ~ScopedEnv() {
-    if (saved_) {
-      setenv(name_, saved_->c_str(), 1);
-    } else {
-      unsetenv(name_);
-    }
-  }
-  ScopedEnv(const ScopedEnv&) = delete;
-  ScopedEnv& operator=(const ScopedEnv&) = delete;
-
- private:
-  const char* name_;
-  std::optional<std::string> saved_;
-};
+using testing::ScopedEnv;
 
 // The srumma::Error message an empty run throws, or "" when it succeeds.
 std::string run_error(Team& team) {

@@ -455,6 +455,19 @@ TEST(Service, FaultyJobFailsTypedWithoutStallingQueue) {
   EXPECT_EQ(job_retries, 2);
 }
 
+TEST(Service, RejectsFaultIdsOutsideTheWholeMachine) {
+  // Ids are checked against the whole machine up front; within it, a
+  // sub-team that lacks the scoped rank simply injects nothing (above).
+  ServiceConfig cfg;
+  fault::FaultConfig faults;
+  faults.fail_rate = 1.0;
+  faults.only_rank = 8;  // quiet_machine(4, 2) has ranks 0..7
+  cfg.rma.faults = faults;
+  EXPECT_THROW(GemmService(quiet_machine(4, 2), cfg), Error);
+  cfg.rma.faults->only_rank = 7;
+  EXPECT_NO_THROW(GemmService(quiet_machine(4, 2), cfg));
+}
+
 TEST(Service, TransparentRmaRetriesDegradeWithoutJobFailures) {
   // Low-rate transient failures with a raised attempt budget: the RMA
   // layer's own retries absorb every fault, so jobs complete first-try
@@ -556,22 +569,6 @@ TEST(Service, MetricsJsonSerializes) {
   EXPECT_NE(doc.find("\"utilization\":0.75"), std::string::npos);
   EXPECT_NE(doc.find("\"wall_seconds\":0.5"), std::string::npos);
   EXPECT_NE(doc.find("\"wall_per_virtual_second\":0.25"), std::string::npos);
-}
-
-TEST(Service, ConfigFromEnvironment) {
-  ::setenv("SRUMMA_SERVICE_QUEUE_CAP", "7", 1);
-  ::setenv("SRUMMA_SERVICE_FLOPS_PER_NODE", "5e6", 1);
-  ::setenv("SRUMMA_SERVICE_BATCH_MAX", "9", 1);
-  ::setenv("SRUMMA_SERVICE_AGE_BOOST", "0.25", 1);
-  const ServiceConfig cfg = ServiceConfig::from_env();
-  EXPECT_EQ(cfg.queue_cap, 7);
-  EXPECT_EQ(cfg.flops_per_node, 5e6);
-  EXPECT_EQ(cfg.batch_max, 9);
-  EXPECT_EQ(cfg.age_boost, 0.25);
-  ::unsetenv("SRUMMA_SERVICE_QUEUE_CAP");
-  ::unsetenv("SRUMMA_SERVICE_FLOPS_PER_NODE");
-  ::unsetenv("SRUMMA_SERVICE_BATCH_MAX");
-  ::unsetenv("SRUMMA_SERVICE_AGE_BOOST");
 }
 
 }  // namespace

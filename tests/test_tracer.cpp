@@ -21,6 +21,8 @@
 #include "core/srumma.hpp"
 #include "trace/report.hpp"
 #include "trace/chrome_trace.hpp"
+#include "trace/journal.hpp"
+#include "trace/json.hpp"
 #include "trace/metrics_json.hpp"
 #include "trace/profile.hpp"
 #include "trace/tracer.hpp"
@@ -36,147 +38,8 @@ using trace::TraceEvent;
 using trace::Tracer;
 using trace::TracerConfig;
 
-// ---------------------------------------------------------------------------
-// Minimal JSON reader — enough to parse back what the exporter emits and
-// prove the file is well-formed JSON (objects, arrays, strings with
-// escapes, numbers, booleans, null).
-struct JsonValue {
-  enum class Kind { Null, Bool, Num, Str, Arr, Obj };
-  Kind kind = Kind::Null;
-  bool boolean = false;
-  double num = 0.0;
-  std::string str;
-  std::vector<JsonValue> arr;
-  std::map<std::string, JsonValue> obj;
-
-  [[nodiscard]] const JsonValue& at(const std::string& key) const {
-    auto it = obj.find(key);
-    if (it == obj.end()) throw std::runtime_error("missing key: " + key);
-    return it->second;
-  }
-  [[nodiscard]] bool has(const std::string& key) const {
-    return obj.count(key) > 0;
-  }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : p_(text.c_str()) {}
-
-  JsonValue parse() {
-    JsonValue v = value();
-    ws();
-    if (*p_ != '\0') throw std::runtime_error("trailing JSON content");
-    return v;
-  }
-
- private:
-  void ws() {
-    while (*p_ == ' ' || *p_ == '\t' || *p_ == '\n' || *p_ == '\r') ++p_;
-  }
-  char expect(char c) {
-    if (*p_ != c)
-      throw std::runtime_error(std::string("expected '") + c + "' got '" +
-                               (*p_ ? std::string(1, *p_) : "EOF") + "'");
-    return *p_++;
-  }
-  JsonValue value() {
-    ws();
-    switch (*p_) {
-      case '{': return object();
-      case '[': return array();
-      case '"': return string();
-      case 't': literal("true");  return make_bool(true);
-      case 'f': literal("false"); return make_bool(false);
-      case 'n': literal("null");  return JsonValue{};
-      default:  return number();
-    }
-  }
-  static JsonValue make_bool(bool b) {
-    JsonValue v;
-    v.kind = JsonValue::Kind::Bool;
-    v.boolean = b;
-    return v;
-  }
-  void literal(const char* lit) {
-    for (; *lit != '\0'; ++lit) {
-      if (*p_ != *lit) throw std::runtime_error("bad literal");
-      ++p_;
-    }
-  }
-  JsonValue object() {
-    expect('{');
-    JsonValue v;
-    v.kind = JsonValue::Kind::Obj;
-    ws();
-    if (*p_ == '}') { ++p_; return v; }
-    for (;;) {
-      ws();
-      JsonValue key = string();
-      ws();
-      expect(':');
-      v.obj.emplace(key.str, value());
-      ws();
-      if (*p_ == ',') { ++p_; continue; }
-      expect('}');
-      return v;
-    }
-  }
-  JsonValue array() {
-    expect('[');
-    JsonValue v;
-    v.kind = JsonValue::Kind::Arr;
-    ws();
-    if (*p_ == ']') { ++p_; return v; }
-    for (;;) {
-      v.arr.push_back(value());
-      ws();
-      if (*p_ == ',') { ++p_; continue; }
-      expect(']');
-      return v;
-    }
-  }
-  JsonValue string() {
-    expect('"');
-    JsonValue v;
-    v.kind = JsonValue::Kind::Str;
-    while (*p_ != '"') {
-      if (*p_ == '\0') throw std::runtime_error("unterminated string");
-      if (*p_ == '\\') {
-        ++p_;
-        switch (*p_) {
-          case '"': v.str.push_back('"'); break;
-          case '\\': v.str.push_back('\\'); break;
-          case '/': v.str.push_back('/'); break;
-          case 'b': case 'f': case 'n': case 'r': case 't':
-            v.str.push_back(' ');
-            break;
-          case 'u':
-            for (int i = 0; i < 4; ++i) ++p_;
-            v.str.push_back('?');
-            break;
-          default: throw std::runtime_error("bad escape");
-        }
-        ++p_;
-      } else {
-        v.str.push_back(*p_++);
-      }
-    }
-    ++p_;
-    return v;
-  }
-  JsonValue number() {
-    char* end = nullptr;
-    JsonValue v;
-    v.kind = JsonValue::Kind::Num;
-    v.num = std::strtod(p_, &end);
-    if (end == p_) throw std::runtime_error("bad number");
-    p_ = end;
-    return v;
-  }
-
-  const char* p_;
-};
+using testing::JsonParser;
+using testing::JsonValue;
 
 // ---------------------------------------------------------------------------
 // Shared runners.
@@ -494,6 +357,105 @@ TEST(Tracer, FaultRunEventsMatchCounters) {
   }
   EXPECT_GT(faults, 0u) << "fault injection did not fire; weak test";
   EXPECT_GT(retries, 0u);
+}
+
+TEST(Tracer, CountersJsonIsByteStable) {
+  // Every field distinct; the literal is the output of the hand-written
+  // serializer this list-generated one replaced.
+  TraceCounters t;
+  t.time_compute = 0.1;
+  t.gemm_calls = 2;
+  t.flops = 3e12;
+  t.time_comm = 0.25;
+  t.time_wait = 1.0 / 3.0;
+  t.time_noise = 6e-7;
+  t.bytes_shm = 7;
+  t.bytes_remote = 8;
+  t.bytes_msg = 9;
+  t.gets = 10;
+  t.puts = 11;
+  t.sends = 12;
+  t.recvs = 13;
+  t.direct_tasks = 14;
+  t.copy_tasks = 15;
+  t.buffer_bytes_peak = 16;
+  t.faults_injected = 17;
+  t.faults_corrupted = 18;
+  t.faults_delayed = 19;
+  t.rma_retries = 20;
+  t.rma_op_timeouts = 21;
+  t.rma_domain_dead = 22;
+  t.task_requeues = 23;
+  t.task_reissues = 24;
+  t.shm_fallbacks = 25;
+  t.checksum_redos = 26;
+  t.time_recovery = 27.5;
+  t.cache_hits = 28;
+  t.cache_joins = 29;
+  t.cache_misses = 30;
+  t.cache_bypasses = 31;
+  t.cache_evictions = 32;
+  t.cache_rearms = 33;
+  t.cache_refetches = 34;
+  t.cache_bytes_saved = 35;
+  t.engine_tasks = 36;
+  t.tasks_stolen = 37;
+  t.steals_denied = 38;
+  t.tasks_adopted = 18446744073709551615ull;
+  EXPECT_EQ(
+      trace::counters_json(t),
+      "{\"time_compute\":0.10000000000000001,\"gemm_calls\":2,"
+      "\"flops\":3000000000000,\"time_comm\":0.25,"
+      "\"time_wait\":0.33333333333333331,"
+      "\"time_noise\":5.9999999999999997e-07,\"bytes_shm\":7,"
+      "\"bytes_remote\":8,\"bytes_msg\":9,\"gets\":10,\"puts\":11,"
+      "\"sends\":12,\"recvs\":13,\"direct_tasks\":14,\"copy_tasks\":15,"
+      "\"buffer_bytes_peak\":16,\"faults_injected\":17,"
+      "\"faults_corrupted\":18,\"faults_delayed\":19,\"rma_retries\":20,"
+      "\"rma_op_timeouts\":21,\"rma_domain_dead\":22,\"task_requeues\":23,"
+      "\"task_reissues\":24,\"shm_fallbacks\":25,\"checksum_redos\":26,"
+      "\"time_recovery\":27.5,\"cache_hits\":28,\"cache_joins\":29,"
+      "\"cache_misses\":30,\"cache_bypasses\":31,\"cache_evictions\":32,"
+      "\"cache_rearms\":33,\"cache_refetches\":34,\"cache_bytes_saved\":35,"
+      "\"engine_tasks\":36,\"tasks_stolen\":37,\"steals_denied\":38,"
+      "\"tasks_adopted\":18446744073709551615}");
+}
+
+TEST(Json, EscaperWritesControlCharacters) {
+  EXPECT_EQ(trace::json_string(testing::hostile_label()),
+            "\"q\\\"b\\\\s\\nt\\tc\\u0001end\"");
+  EXPECT_EQ(trace::json_string("rank 3 (domain 1)"), "\"rank 3 (domain 1)\"");
+}
+
+TEST(Json, MetricsWriterEmitsValidJsonForAnyLabel) {
+  const std::string label = testing::hostile_label();
+  trace::MetricsLog log(label);
+  log.add(label, MultiplyResult{}, {{label, 1.0}}, 0.5);
+  const JsonValue doc = JsonParser(log.json()).parse();
+  EXPECT_EQ(doc.at("bench").str, label);
+  const JsonValue& row = doc.at("rows").arr.at(0);
+  EXPECT_EQ(row.at("label").str, label);
+  EXPECT_EQ(row.at("params").at(label).num, 1.0);
+}
+
+TEST(Json, JournalWriterEmitsValidJsonForAnyLabel) {
+  const std::string label = testing::hostile_label();
+  const std::string path = ::testing::TempDir() + "/srumma_json_label.jsonl";
+  {
+    trace::JournalWriter w(path);
+    trace::JournalRecord r;
+    r.ev = "op";
+    r.kind = label;
+    r.site = label;
+    w.record(r);
+  }
+  std::ifstream in(path);
+  std::string line;
+  ASSERT_TRUE(std::getline(in, line));
+  const JsonValue doc = JsonParser(line).parse();
+  EXPECT_EQ(doc.at("kind").str, label);
+  EXPECT_EQ(doc.at("site").str, label);
+  std::remove(path.c_str());
 }
 
 TEST(Tracer, MetricsJsonSchemaRoundTrips) {

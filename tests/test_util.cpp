@@ -1,11 +1,25 @@
-// Unit tests for src/util: matrix container and views, RNG, tables, CLI.
+// Unit tests for src/util: matrix container and views, RNG, tables, CLI,
+// and the SRUMMA_* environment reader.
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <functional>
+#include <iterator>
+#include <map>
+#include <regex>
+#include <set>
 #include <sstream>
 
+#include "cache/block_cache.hpp"
+#include "core/srumma.hpp"
+#include "dist/dist_matrix.hpp"
+#include "rma/rma.hpp"
+#include "runtime/team.hpp"
+#include "tests/helpers.hpp"
 #include "util/aligned.hpp"
 #include "util/cli.hpp"
+#include "util/env.hpp"
 #include "util/matrix.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
@@ -218,6 +232,248 @@ TEST(Error, MessageCarriesContext) {
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("something bad"), std::string::npos);
   }
+}
+
+// ---------------------------------------------------------------------------
+// The SRUMMA_* environment reader (util/env.hpp).
+
+using testing::ScopedEnv;
+
+// The srumma::Error message `f` throws, or "" when it returns.
+std::string error_of(const std::function<void()>& f) {
+  try {
+    f();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// One kind's table: every bad value throws NAME='value' is invalid:
+// expected <accepted>, and every good value reads back as `want`.
+struct KindTable {
+  const char* name;
+  const char* accepted;
+  std::vector<const char*> bad;
+  std::vector<std::pair<const char*, std::string>> good;  // value, as read
+};
+
+template <class Read>
+void check_kind(const KindTable& t, Read read) {
+  for (const char* bad : t.bad) {
+    ScopedEnv set(t.name, bad);
+    const std::string msg = error_of([&] { (void)read(); });
+    EXPECT_NE(msg.find(std::string(t.name) + "='" + bad +
+                       "' is invalid: expected " + t.accepted),
+              std::string::npos)
+        << msg;
+    EXPECT_THROW(env::check_value(t.name, bad), Error) << bad;
+  }
+  for (const auto& [good, want] : t.good) {
+    ScopedEnv set(t.name, good);
+    std::ostringstream got;
+    got << *read();
+    EXPECT_EQ(got.str(), want) << t.name << "=" << good;
+    EXPECT_NO_THROW(env::check_value(t.name, good)) << good;
+  }
+}
+
+TEST(Env, FlagIsExactlyZeroOrOne) {
+  const KindTable t{"SRUMMA_BENCH_SMOKE",
+                    "0 or 1",
+                    {"", "1x", "2", "false", "true", "on", " 1", "01"},
+                    {{"0", "0"}, {"1", "1"}}};
+  check_kind(t, [] { return env::flag("SRUMMA_BENCH_SMOKE"); });
+}
+
+TEST(Env, IntegerIsBaseTenWithinItsRange) {
+  check_kind({"SRUMMA_LOOKAHEAD",
+              "an integer in [1, 64]",
+              {"", "1x", "0", "65", "-1", "+3", " 3", "3.0", "4k", "0x10"},
+              {{"1", "1"}, {"64", "64"}, {"08", "8"}}},
+             [] { return env::integer<int>("SRUMMA_LOOKAHEAD"); });
+  // Seeds and op indices are unsigned 64-bit.
+  check_kind({"SRUMMA_FAULT_SEED",
+              "an integer in [0, 18446744073709551615]",
+              {"-1", "18446744073709551616", "1e3"},
+              {{"0", "0"}, {"18446744073709551615", "18446744073709551615"}}},
+             [] { return env::integer<std::uint64_t>("SRUMMA_FAULT_SEED"); });
+  // Ids take -1 for "none".
+  check_kind({"SRUMMA_FAULT_ONLY_RANK",
+              "an integer in [-1, 2147483647]",
+              {"-2", "2147483648", "one"},
+              {{"-1", "-1"}, {"2147483647", "2147483647"}}},
+             [] { return env::integer<int>("SRUMMA_FAULT_ONLY_RANK"); });
+}
+
+TEST(Env, RealIsFiniteWithinItsRange) {
+  check_kind({"SRUMMA_FAULT_FAIL_RATE",
+              "a finite number in [0, 1]",
+              {"", "1x", "0,002", "1.5", "-0.1", "nan", "inf", "1e999"},
+              {{"0", "0"}, {"1", "1"}, {"0.002", "0.002"}, {"2e-3", "0.002"}}},
+             [] { return env::real("SRUMMA_FAULT_FAIL_RATE"); });
+  check_kind({"SRUMMA_FAULT_DELAY_FACTOR",
+              "a finite number >= 1",
+              {"0.5", "inf", "8x"},
+              {{"1", "1"}, {"1e300", "1e+300"}}},
+             [] { return env::real("SRUMMA_FAULT_DELAY_FACTOR"); });
+}
+
+TEST(Env, WordIsOneOfItsList) {
+  check_kind({"SRUMMA_FAULT_KILL_POINT",
+              "prefetch, chain, steal, barrier or none",
+              {"", "one", "Chain", "chain ", "prefetch|chain"},
+              {{"prefetch", "prefetch"},
+               {"chain", "chain"},
+               {"steal", "steal"},
+               {"barrier", "barrier"},
+               {"none", "none"}}},
+             [] { return env::word("SRUMMA_FAULT_KILL_POINT"); });
+}
+
+TEST(Env, TextIsNonEmpty) {
+  check_kind({"SRUMMA_BENCH_JSON",
+              "a non-empty file path",
+              {""},
+              {{"out.json", "out.json"}, {"a b/c.json", "a b/c.json"}}},
+             [] { return env::text("SRUMMA_BENCH_JSON"); });
+}
+
+TEST(Env, UnsetReadsAsNotSet) {
+  ScopedEnv set("SRUMMA_LOOKAHEAD", "3");
+  unsetenv("SRUMMA_LOOKAHEAD");
+  EXPECT_FALSE(env::integer<int>("SRUMMA_LOOKAHEAD").has_value());
+}
+
+// Each probe misreading throws from the first call that reads it.
+TEST(Env, MisreadingsThrowFromTheirEntryPoint) {
+  enum class Entry { TeamCtor, RmaCtor, Run };
+  const struct {
+    const char* name;
+    const char* value;
+    Entry entry;
+  } cases[] = {
+      {"SRUMMA_CACHE", "false", Entry::RmaCtor},
+      {"SRUMMA_ENGINE", "off", Entry::Run},
+      {"SRUMMA_RMA_CHECK", "no", Entry::RmaCtor},
+      {"SRUMMA_FAULT_KILL_DOMAIN", "one", Entry::TeamCtor},
+      {"SRUMMA_FAULT_FAIL_RATE", "0,002", Entry::TeamCtor},
+      {"SRUMMA_CACHE_CAP", "64MiB", Entry::RmaCtor},
+      {"SRUMMA_TRACE_CAP", "4k", Entry::TeamCtor},
+      {"SRUMMA_LOOKAHEAD", "auto", Entry::Run},
+  };
+  const MachineModel machine = MachineModel::testing(2, 1);
+  for (const auto& c : cases) {
+    std::optional<Team> team;
+    std::optional<RmaRuntime> rma;
+    if (c.entry != Entry::TeamCtor) team.emplace(machine);
+    if (c.entry == Entry::Run) rma.emplace(*team);
+    ScopedEnv set(c.name, c.value);
+    const std::string msg = error_of([&] {
+      if (!team) team.emplace(machine);
+      if (!rma) rma.emplace(*team);
+      const ProcGrid grid = ProcGrid::near_square(team->size());
+      team->run([&](Rank& me) {
+        DistMatrix a(*rma, me, 16, 16, grid, true);
+        DistMatrix b(*rma, me, 16, 16, grid, true);
+        DistMatrix cm(*rma, me, 16, 16, grid, true);
+        (void)srumma_multiply(me, a, b, cm, SrummaOptions{});
+      });
+    });
+    EXPECT_NE(msg.find(std::string(c.name) + "='" + c.value + "' is invalid"),
+              std::string::npos)
+        << msg;
+    // Thrown where the variable is read: the objects built before it
+    // exist, the next one does not.
+    EXPECT_EQ(team.has_value(), c.entry != Entry::TeamCtor) << c.name;
+    EXPECT_EQ(rma.has_value(), c.entry == Entry::Run) << c.name;
+  }
+}
+
+TEST(Env, UnknownNameFailsTeamConstruction) {
+  ScopedEnv typo("SRUMMA_ENGIN", "1");
+  const std::string msg =
+      error_of([] { Team team(MachineModel::testing(1, 2)); });
+  EXPECT_NE(msg.find("unknown variable SRUMMA_ENGIN='1'"), std::string::npos)
+      << msg;
+  EXPECT_THROW(env::check_value("SRUMMA_ENGIN", "1"), Error);
+}
+
+TEST(Env, CodeCacheCapacityBeatsTheEnvironment) {
+  Team team(MachineModel::testing(2, 2));
+  ScopedEnv cap("SRUMMA_CACHE_CAP", "4096");
+  RmaConfig rc;
+  rc.cache = true;
+  rc.cache_capacity = 1 << 20;
+  RmaRuntime in_code(team, rc);
+  EXPECT_EQ(in_code.block_cache()->config().capacity_bytes, 1u << 20);
+  rc.cache_capacity = 0;  // defers to the environment
+  RmaRuntime from_env(team, rc);
+  EXPECT_EQ(from_env.block_cache()->config().capacity_bytes, 4096u);
+}
+
+// Every SRUMMA_* name the scripts assign, and every value they give it
+// (shell expansions listed by the values they take).  Deliberately bad
+// settings (check.sh's loud-failure probes) must be rejected.
+TEST(Env, ScriptSettingsAreAccepted) {
+  const std::map<std::string, std::vector<std::string>> accepted = {
+      {"SRUMMA_BENCH_JSON", {"/tmp/fig3.json"}},
+      {"SRUMMA_BENCH_SMOKE", {"0", "1"}},
+      {"SRUMMA_CACHE", {"1"}},
+      {"SRUMMA_ENGINE", {"0", "1"}},
+      {"SRUMMA_FAULT_BUDDY_OFFSET", {"1"}},
+      {"SRUMMA_FAULT_DELAY_RATE", {"0.002"}},
+      {"SRUMMA_FAULT_FAIL_RATE", {"0.002"}},
+      {"SRUMMA_FAULT_KILL_DOMAIN", {"1"}},
+      {"SRUMMA_FAULT_KILL_POINT", {"prefetch", "chain", "steal", "barrier"}},
+      {"SRUMMA_FAULT_MAX_ATTEMPTS", {"20"}},
+      {"SRUMMA_GEMM_KERNEL", {"avx2"}},
+      {"SRUMMA_HARNESS_THREADS", {"1", "3", "4095"}},
+      {"SRUMMA_RMA_CHECK", {"1"}},
+      {"SRUMMA_RMA_JOURNAL", {"/tmp/journal.jsonl"}},
+      {"SRUMMA_TRACE", {"/tmp/trace.json"}},
+  };
+  const std::map<std::string, std::string> rejected = {
+      {"SRUMMA_ENGIN", "1"}, {"SRUMMA_CACHE", "false"}};
+  for (const auto& [name, values] : accepted)
+    for (const std::string& v : values)
+      EXPECT_NO_THROW(env::check_value(name, v)) << name << "=" << v;
+  for (const auto& [name, v] : rejected)
+    EXPECT_THROW(env::check_value(name, v), Error) << name << "=" << v;
+
+  // The tables above cover every name the scripts set (CMake -D options
+  // are not environment variables).
+  const std::regex assign("(?:^|[^A-Za-z0-9_])(SRUMMA_[A-Z0-9_]+)=");
+  std::set<std::string> in_scripts;
+  for (const char* script :
+       {"scripts/check.sh", "scripts/bench_report.sh", "bench/e2e/run.sh"}) {
+    std::ifstream in(std::string(SRUMMA_SOURCE_DIR) + "/" + script);
+    ASSERT_TRUE(in.is_open()) << script;
+    const std::string text((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    for (std::sregex_iterator it(text.begin(), text.end(), assign), end;
+         it != end; ++it)
+      in_scripts.insert((*it)[1]);
+  }
+  std::set<std::string> tabled;
+  for (const auto& [name, values] : accepted) tabled.insert(name);
+  for (const auto& [name, v] : rejected) tabled.insert(name);
+  EXPECT_EQ(in_scripts, tabled);
+}
+
+TEST(Env, ReadmeTableNamesEveryVariable) {
+  std::ifstream in(std::string(SRUMMA_SOURCE_DIR) + "/README.md");
+  ASSERT_TRUE(in.is_open());
+  const std::regex row("^\\| `(SRUMMA_[A-Z0-9_]+)` \\|");
+  std::multiset<std::string> documented;
+  for (std::string line; std::getline(in, line);) {
+    std::smatch m;
+    if (std::regex_search(line, m, row)) documented.insert(m[1]);
+  }
+  std::multiset<std::string> listed;
+  for (const env::Variable& v : env::kVariables) listed.insert(v.name);
+  EXPECT_EQ(documented, listed);
+  EXPECT_EQ(listed.size(), 35u);
 }
 
 }  // namespace
