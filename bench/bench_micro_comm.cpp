@@ -1,8 +1,8 @@
 // Micro-benchmark (google-benchmark): real host-time overheads of the
 // simulation substrate itself — how fast the harness can issue RMA ops,
-// match messages, book contended resources, run barriers, start a team and
-// plan a multiply.  These bound how large a simulated machine the benches
-// can afford.
+// match messages, book contended resources, run barriers, start a team,
+// reduce a multiply's result and plan a multiply.  These bound how large a
+// simulated machine the benches can afford.
 //
 // Where an op needs two ranks, each benchmark iteration runs a fixed-count
 // batch inside one Team::run (fiber and worker set-up included — it is part
@@ -15,6 +15,7 @@
 #include "msg/comm.hpp"
 #include "rma/rma.hpp"
 #include "runtime/team.hpp"
+#include "trace/report.hpp"
 #include "vtime/resource.hpp"
 
 namespace {
@@ -32,6 +33,19 @@ void BM_ResourceBook(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ResourceBook);
+
+// One Resource booked from 2 and 3 threads at once, as the two ranks of a
+// node running on different harness workers book their shared NIC: each
+// thread books back to back from its own last completion, so the cost is
+// the lock hand-off and the cache-line traffic, not the interval search.
+void BM_ResourceBookContended(benchmark::State& state) {
+  static Resource r;
+  if (state.thread_index() == 0) r.reset();  // before the threads start
+  double ready = 0.0;
+  for (auto _ : state) benchmark::DoNotOptimize(ready = r.book(ready, 1e-6));
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ResourceBookContended)->Threads(2)->Threads(3)->UseRealTime();
 
 void BM_RmaGetBatch(benchmark::State& state) {
   Team team(MachineModel::testing(2, 1));
@@ -115,6 +129,23 @@ void BM_TeamRunEmpty1024(benchmark::State& state) {
   for (auto _ : state) team.run([](Rank&) {});
 }
 BENCHMARK(BM_TeamRunEmpty1024)->Unit(benchmark::kMillisecond);
+
+// A multiply's collective epilogue at the e2e benchmark's 1024-rank scale:
+// collect_result's three barriers and its trace-board reduction, one
+// Team::run per iteration (fiber set-up included, as above).
+void BM_CollectResult1024(benchmark::State& state) {
+  Team team(MachineModel::linux_myrinet(512));
+  team.run([](Rank&) {});
+  for (auto _ : state) {
+    team.reset();
+    team.run([](Rank& me) {
+      const TraceCounters start = me.trace();
+      benchmark::DoNotOptimize(
+          collect_result(me, me.clock().now(), start, 1.0));
+    });
+  }
+}
+BENCHMARK(BM_CollectResult1024)->Unit(benchmark::kMillisecond);
 
 // Planning for one multiply of the e2e benchmark's scale1024_phantom
 // configuration (linux_myrinet(512), N = 16000, default options): every

@@ -57,7 +57,10 @@
 #   2.  a TSan build running the concurrency-heavy suites
 #       (test_rma, test_runtime, test_srumma, test_rma_checker,
 #       test_block_cache, test_engine, test_chaos, test_service,
-#       test_harness_pool — the pooled fiber scheduler under TSan);
+#       test_harness_pool, test_vtime, test_perf): among them the pooled
+#       fiber scheduler, the Resource booking spin lock under concurrent
+#       bookers, and collect_result's reduction by a barrier's last
+#       arriver on three workers;
 #   3.  static analysis via scripts/lint.sh.
 #
 # Usage: scripts/check.sh [build-dir] [asan-build-dir] [tsan-build-dir]
@@ -344,11 +347,12 @@ cmake -B "$tsan_build" -S "$repo" \
 cmake --build "$tsan_build" -j "$jobs" \
   --target test_rma --target test_runtime --target test_srumma \
   --target test_rma_checker --target test_block_cache --target test_engine \
-  --target test_chaos --target test_service --target test_harness_pool
+  --target test_chaos --target test_service --target test_harness_pool \
+  --target test_vtime --target test_perf
 # halt_on_error: a data race must fail the suite, not just print.
 TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}" \
   ctest --test-dir "$tsan_build" --output-on-failure \
-  -R '^(test_rma|test_runtime|test_srumma|test_rma_checker|test_block_cache|test_engine|test_chaos|test_service|test_harness_pool)$'
+  -R '^(test_rma|test_runtime|test_srumma|test_rma_checker|test_block_cache|test_engine|test_chaos|test_service|test_harness_pool|test_vtime|test_perf)$'
 
 echo
 echo "== tier 3: static analysis (scripts/lint.sh) =="

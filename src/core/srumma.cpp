@@ -140,11 +140,13 @@ MultiplyResult srumma_multiply(Rank& me, DistMatrix& a, DistMatrix& b,
   for (cache::BlockCacheSet* cset : cache_sets)
     if (cset != nullptr) cset->begin_epoch(me, cache_default_cap);
 
-  // Mutable working copy: a task whose fetch exhausts its RMA retries is
+  // Working list, moved out of the plan (the recovery deposit above took
+  // its own copy): a task whose fetch exhausts its RMA retries is
   // re-enqueued at the tail (graceful degradation instead of aborting the
   // whole multiply), so the list can grow while we walk it.
-  std::vector<Task> tasks = plan.tasks;
-  const std::size_t requeue_cap = 4 * plan.tasks.size() + 16;
+  const std::size_t planned = plan.tasks.size();
+  std::vector<Task> tasks = std::move(plan.tasks);
+  const std::size_t requeue_cap = 4 * planned + 16;
   std::size_t requeues = 0;
 
   // Fail-stop hooks: a configured kill trips at this rank's next prefetch
@@ -168,7 +170,7 @@ MultiplyResult srumma_multiply(Rank& me, DistMatrix& a, DistMatrix& b,
     // Fetches issued past the original plan belong to requeued tail copies:
     // each one is an operand reissue (the engine's re-arm counts the same
     // way, so the recovery effort of the two executors is comparable).
-    if (t_idx >= plan.tasks.size()) me.trace().task_reissues += 1;
+    if (t_idx >= planned) me.trace().task_reissues += 1;
     // A: reuse a live matching patch if the policy allows.
     std::ptrdiff_t ai = -1;
     if (opt.ordering.a_reuse) {

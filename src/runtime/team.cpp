@@ -203,6 +203,10 @@ TraceCounters Team::total_trace() {
 
 void Team::abort() noexcept {
   aborted_.store(true, std::memory_order_release);
+  // Taking the barrier lock orders the flag before any thread-per-rank
+  // waiter's next predicate check: without it a waiter that has just read
+  // the flag as false could block after this notify and never wake.
+  { std::lock_guard<std::mutex> lock(barrier_mu_); }
   barrier_cv_.notify_all();
   // Wake every registered blocking wait (symmetric allocation, mailboxes)
   // so peers observe the abort promptly instead of riding out their
@@ -262,7 +266,7 @@ void Team::notify_epoch_observers(int rank) {
   for (auto& fn : fns) fn(rank);
 }
 
-void Team::barrier_wait(Rank& me) {
+void Team::barrier_wait(Rank& me, const std::function<void()>& on_last) {
   // Barrier kill point: a configured fail-stop whose trigger is "at the
   // next synchronization" trips as its domain's ranks enter the barrier.
   // The rank still joins (barriers count all ranks, dead or alive); the
@@ -283,19 +287,13 @@ void Team::barrier_wait(Rank& me) {
   std::unique_lock<std::mutex> lock(barrier_mu_);
   if (aborted()) throw Error("team aborted while entering barrier");
   barrier_max_ = std::max(barrier_max_, me.clock().now());
-  if (++barrier_arrived_ == size_) {
+  const bool last = ++barrier_arrived_ == size_;
+  if (last) {
     barrier_release_ = barrier_max_ + barrier_cost;
     barrier_arrived_ = 0;
     barrier_max_ = 0.0;
+    if (on_last) on_last();
     ++barrier_generation_;
-    // Watermark coalescing: every peer is quiescent inside this barrier
-    // (parked on barrier_cv_ or yielded in its poll loop, never mid-book),
-    // and every future booking's ready time derives from a clock that will
-    // be sync'd to barrier_release_ — so reservations ending at or before
-    // the release can never influence a future placement and may be merged
-    // into one dead prefix interval.  This bounds Resource memory on long
-    // runs without changing any modeled result.
-    net_.advance_frontier(barrier_release_);
     barrier_cv_.notify_all();
   } else {
     const std::uint64_t gen = barrier_generation_;
@@ -313,11 +311,24 @@ void Team::barrier_wait(Rank& me) {
     }
     if (aborted()) throw Error("team aborted while waiting in barrier");
   }
+  const double release = barrier_release_;
+  lock.unlock();
+  if (last) {
+    // Watermark coalescing, after the release so that no waiter is held
+    // up by it.  Every booking from the release on has a ready time
+    // derived from a clock sync'd to `release`, so reservations ending at
+    // or before it can never influence a placement and may be merged into
+    // one dead prefix interval, whether such a booking lands before or
+    // after the merge.  This bounds Resource memory on long runs without
+    // changing any modeled result.  The next barrier cannot release (and
+    // merge again) before this rank is done and arrives there.
+    net_.advance_frontier(release);
+  }
   const double before = me.clock().now();
-  me.clock().sync_to(barrier_release_);
+  me.clock().sync_to(release);
   if (trace::Tracer* tr = tracer_.get()) {
-    if (barrier_release_ > before)
-      tr->span(me.id(), trace::Phase::Barrier, before, barrier_release_);
+    if (release > before)
+      tr->span(me.id(), trace::Phase::Barrier, before, release);
   }
 }
 

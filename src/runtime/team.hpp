@@ -147,6 +147,12 @@ class Team {
   /// before the *next* barrier, after which slots may be overwritten.
   [[nodiscard]] TraceCounters& trace_board(int rank);
 
+  /// One team-wide slot for a reduction over the trace boards, written by
+  /// a barrier's last arriver (barrier_wait's `on_last`) and read by every
+  /// rank after that barrier and before the next.  collect_result sums
+  /// the boards here once instead of once per rank.
+  [[nodiscard]] TraceCounters& trace_sum() noexcept { return trace_sum_; }
+
   /// Per-rank double slot with the same write-before-barrier / read-after
   /// discipline (and the same barrier-provided synchronization) as
   /// trace_board; used for collective reductions over shared memory.
@@ -195,7 +201,12 @@ class Team {
   void remove_epoch_observer(std::uint64_t id);
 
   // -- used by Rank::barrier and the comm layers ----------------------------
-  void barrier_wait(Rank& me);
+  /// Rank::barrier.  A non-empty `on_last` is run by the last rank to
+  /// arrive, under the barrier lock and before any rank leaves, so a
+  /// team-wide reduction placed there runs exactly once per barrier and
+  /// every rank sees its result on release (collect_result's use).  Every
+  /// rank of one barrier must pass an equivalent hook.
+  void barrier_wait(Rank& me, const std::function<void()>& on_last = {});
   [[nodiscard]] bool aborted() const noexcept {
     return aborted_.load(std::memory_order_acquire);
   }
@@ -207,6 +218,7 @@ class Team {
   NetworkState net_;
   std::vector<std::unique_ptr<Rank>> ranks_;
   std::vector<TraceCounters> trace_board_;
+  TraceCounters trace_sum_;
   std::vector<double> value_board_;
   std::unique_ptr<trace::Tracer> tracer_;
   std::shared_ptr<fault::FaultPlane> faults_;

@@ -19,17 +19,22 @@ MultiplyResult collect_result(Rank& me, double start_vt,
   // Exit barrier: equalizes clocks so elapsed is the true makespan.
   me.barrier();
   team.trace_board(me.id()) = trace_delta(me.trace(), my_start);
-  me.barrier();
+  // The last rank to arrive sums the boards in rank order into the team's
+  // one sum slot before anyone leaves: one O(P) reduction, not P of them.
+  team.barrier_wait(me, [&team] {
+    TraceCounters total;
+    for (int rank = 0; rank < team.size(); ++rank)
+      total += team.trace_board(rank);
+    team.trace_sum() = total;
+  });
 
   MultiplyResult r;
   r.elapsed = me.clock().now() - start_vt;
-  for (int rank = 0; rank < team.size(); ++rank) {
-    r.trace += team.trace_board(rank);
-  }
+  r.trace = team.trace_sum();
   r.gflops = r.elapsed > 0.0 ? flops / r.elapsed / 1e9 : 0.0;
   r.overlap = r.trace.overlap();
   // One more barrier so no rank races ahead and overwrites its board slot
-  // in a subsequent collective while slower ranks are still summing.
+  // or the sum in a subsequent collective while slower ranks still copy it.
   me.barrier();
   return r;
 }

@@ -25,7 +25,9 @@ struct MultiplyResult {
 /// fold all ranks' deltas into a MultiplyResult.  `start_vt` must be the
 /// clock value right after the operation's entry barrier and `flops` the
 /// total operation flops (2*m*n*k).  Ends with the exit barrier included in
-/// `elapsed`.
+/// `elapsed`.  The deltas are summed once per call, in rank order, by the
+/// last rank to reach the second of its three barriers (into
+/// Team::trace_sum); every rank still returns the full, identical result.
 [[nodiscard]] MultiplyResult collect_result(Rank& me, double start_vt,
                                             const TraceCounters& my_start,
                                             double flops);

@@ -1,8 +1,11 @@
 #include "util/cli.hpp"
 
 #include <algorithm>
+#include <climits>
+#include <cmath>
 #include <cstdio>
 #include <sstream>
+#include <stdexcept>
 
 #include "util/error.hpp"
 
@@ -68,19 +71,43 @@ std::string CliParser::get(const std::string& name) const {
   return it->second.value;
 }
 
+namespace {
+
+[[noreturn]] void invalid(const std::string& name, const std::string& v,
+                          const std::string& expected) {
+  throw Error("--" + name + "='" + v + "' is invalid: expected " + expected);
+}
+
+}  // namespace
+
 long long CliParser::get_int(const std::string& name) const {
   const std::string v = get(name);
   std::size_t pos = 0;
-  const long long r = std::stoll(v, &pos);
-  SRUMMA_REQUIRE(pos == v.size(), "flag --" + name + " is not an integer: " + v);
+  long long r = 0;
+  try {
+    r = std::stoll(v, &pos);
+  } catch (const std::invalid_argument&) {
+    invalid(name, v, "an integer");
+  } catch (const std::out_of_range&) {
+    invalid(name, v,
+            "an integer in [" + std::to_string(LLONG_MIN) + ", " +
+                std::to_string(LLONG_MAX) + "]");
+  }
+  if (pos != v.size()) invalid(name, v, "an integer");
   return r;
 }
 
 double CliParser::get_double(const std::string& name) const {
   const std::string v = get(name);
   std::size_t pos = 0;
-  const double r = std::stod(v, &pos);
-  SRUMMA_REQUIRE(pos == v.size(), "flag --" + name + " is not a number: " + v);
+  double r = 0.0;
+  try {
+    r = std::stod(v, &pos);
+  } catch (const std::logic_error&) {  // invalid_argument, out_of_range
+    invalid(name, v, "a finite number");
+  }
+  if (pos != v.size() || !std::isfinite(r))
+    invalid(name, v, "a finite number");
   return r;
 }
 

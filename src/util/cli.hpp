@@ -30,6 +30,9 @@ class CliParser {
   bool parse(int argc, const char* const* argv);
 
   [[nodiscard]] std::string get(const std::string& name) const;
+  /// The whole value as a 64-bit integer or a finite double; anything else
+  /// throws srumma::Error naming the flag and the value, e.g.
+  /// "--n='two' is invalid: expected an integer".
   [[nodiscard]] long long get_int(const std::string& name) const;
   [[nodiscard]] double get_double(const std::string& name) const;
   [[nodiscard]] bool get_bool(const std::string& name) const;

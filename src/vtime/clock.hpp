@@ -1,9 +1,11 @@
 #pragma once
 // Per-rank virtual clock.
 //
-// Ranks execute as OS threads at real speed, but *time* is virtual: every
-// modeled operation (dgemm, copy, message, wait) advances the owning rank's
-// clock by the modeled duration.  Cross-rank effects arrive two ways:
+// Ranks execute at real speed, as fibers over a pool of worker threads by
+// default or as one OS thread each (runtime/team.hpp, ExecMode), but *time*
+// is virtual: every modeled operation (dgemm, copy, message, wait) advances
+// the owning rank's clock by the modeled duration.  Cross-rank effects
+// arrive two ways:
 //   * synchronization points (barrier, message match, RMA wait) take the
 //     max of the clocks involved, and
 //   * host-CPU "steal": a non-zero-copy RMA get interrupts the data owner's

@@ -30,7 +30,7 @@ class NetworkState {
   void advance_frontier(double watermark);
 
  private:
-  // unique_ptr so Resource (which holds a mutex) never moves.
+  // unique_ptr so Resource (which holds a lock) never moves.
   std::vector<std::unique_ptr<Resource>> nic_out_;
   std::vector<std::unique_ptr<Resource>> nic_in_;
   std::vector<std::unique_ptr<Resource>> domain_mem_;

@@ -3,8 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-
+#include <cstring>
 #include <sstream>
+#include <vector>
 
 #include "perf/model.hpp"
 #include "trace/profile.hpp"
@@ -107,6 +108,16 @@ TEST(TraceReport, DeltaSubtractsFieldwise) {
   EXPECT_EQ(d.bytes_remote, 100u);
 }
 
+// Field-by-field bit equality (doubles compared as bit patterns).
+bool bitwise_equal(const TraceCounters& x, const TraceCounters& y) {
+  bool eq = true;
+#define SRUMMA_COUNTER_BITS(type, f, agg) \
+  eq = eq && std::memcmp(&x.f, &y.f, sizeof(type)) == 0;
+  SRUMMA_TRACE_COUNTERS(SRUMMA_COUNTER_BITS)
+#undef SRUMMA_COUNTER_BITS
+  return eq;
+}
+
 TEST(TraceReport, CollectResultAggregatesAcrossRanks) {
   Team team(MachineModel::testing(2, 2));
   MultiplyResult out;
@@ -121,6 +132,53 @@ TEST(TraceReport, CollectResultAggregatesAcrossRanks) {
   EXPECT_EQ(out.trace.gemm_calls, 4u);
   EXPECT_GT(out.elapsed, 0.0);
   EXPECT_GT(out.gflops, 0.0);
+
+  // 96 ranks on three workers, over several multiplies: every rank
+  // returns, bit for bit, the boards summed in rank order.  The deltas
+  // differ per rank and per round in every kind of field, so a sum in any
+  // other order, or a board read before its rank wrote it, shows.
+  Team big(MachineModel::testing(32, 3));
+  big.set_execution(ExecMode::Pooled, 3);
+  const int n = big.size();
+  constexpr int kRounds = 4;
+  std::vector<MultiplyResult> got(static_cast<std::size_t>(n * kRounds));
+  std::vector<TraceCounters> want(kRounds);
+  big.run([&](Rank& me) {
+    for (int round = 0; round < kRounds; ++round) {
+      me.barrier();
+      const double t0 = me.clock().now();
+      const TraceCounters start = me.trace();
+      me.charge_gemm(8 + me.id(), 3 + round, 5 + me.id() % 7);
+      me.trace().time_wait += 1e-3 / (1 + me.id() + round);
+      me.trace().gets += static_cast<std::uint64_t>(me.id() * round);
+      me.trace().buffer_bytes_peak = static_cast<std::uint64_t>(
+          (me.id() * 37 + round * 11) % 101);
+      const std::size_t slot = static_cast<std::size_t>(round * n + me.id());
+      got[slot] = collect_result(me, t0, start, 1e6);
+      // The boards hold this round's deltas until the next round's
+      // collect_result: rank 0 sums them in rank order for the check.
+      if (me.id() == 0) {
+        TraceCounters sum;
+        for (int r = 0; r < n; ++r) sum += big.trace_board(r);
+        want[static_cast<std::size_t>(round)] = sum;
+        TraceCounters reversed;
+        for (int r = n - 1; r >= 0; --r) reversed += big.trace_board(r);
+        EXPECT_FALSE(bitwise_equal(sum, reversed))
+            << "round " << round << ": the deltas are not order-sensitive";
+      }
+      me.barrier();
+    }
+  });
+  for (int round = 0; round < kRounds; ++round) {
+    const TraceCounters& w = want[static_cast<std::size_t>(round)];
+    EXPECT_EQ(w.gemm_calls, static_cast<std::uint64_t>(n));
+    for (int r = 0; r < n; ++r) {
+      const MultiplyResult& g = got[static_cast<std::size_t>(round * n + r)];
+      EXPECT_TRUE(bitwise_equal(g.trace, w)) << "round " << round << " rank "
+                                              << r;
+      EXPECT_EQ(g.elapsed, got[static_cast<std::size_t>(round * n)].elapsed);
+    }
+  }
 }
 
 TEST(TraceReport, DescribeMentionsKeyNumbers) {

@@ -7,9 +7,12 @@
 #include <chrono>
 #include <cmath>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "msg/comm.hpp"
 #include "rma/rma.hpp"
+#include "runtime/fiber_exec.hpp"
 #include "runtime/team.hpp"
 #include "util/error.hpp"
 
@@ -199,6 +202,97 @@ TEST(Team, AbortWakesPeerBlockedInRecv) {
   const auto wall = std::chrono::steady_clock::now() - t0;
   EXPECT_LT(std::chrono::duration_cast<std::chrono::seconds>(wall).count(), 5);
   EXPECT_TRUE(team.aborted());
+}
+
+// The execution modes a barrier must behave the same under: pooled fibers
+// on one worker (deterministic round-robin) and on three (parked fibers
+// poll the generation while other workers release), and one OS thread per
+// rank (condition-variable waiters).
+struct ExecCase {
+  ExecMode mode;
+  int workers;
+};
+constexpr ExecCase kExecCases[] = {
+    {ExecMode::Pooled, 1}, {ExecMode::Pooled, 3}, {ExecMode::Threads, 0}};
+
+// Yield the rank's worker: the fiber when pooled, the OS thread otherwise.
+void let_others_run() {
+  if (exec::on_fiber()) {
+    exec::yield();
+  } else {
+    std::this_thread::yield();
+  }
+}
+
+TEST(Team, BarrierLastArriverHookRunsOncePerGenerationBeforeRelease) {
+  constexpr int kBarriers = 40;
+  for (const ExecCase& ec : kExecCases) {
+    Team team(MachineModel::testing(8, 3));  // 24 ranks
+    team.set_execution(ec.mode, ec.workers);
+    const int n = team.size();
+    std::atomic<int> hooks{0};
+    std::vector<std::atomic<int>> left(kBarriers);
+    std::vector<double> sums(kBarriers, -1.0);
+    team.run([&](Rank& me) {
+      for (int b = 0; b < kBarriers; ++b) {
+        const auto ub = static_cast<std::size_t>(b);
+        team.value_board(me.id()) = b * 1000.0 + me.id();
+        team.barrier_wait(me, [&, ub] {
+          // No rank has left this barrier, and every rank's write before
+          // it is visible to the hook.
+          EXPECT_EQ(left[ub].load(), 0);
+          double sum = 0.0;
+          for (int r = 0; r < n; ++r) sum += team.value_board(r);
+          sums[ub] = sum;
+          hooks.fetch_add(1);
+        });
+        // This barrier's hook ran before this rank left, and the next one
+        // cannot run before this rank arrives there.
+        EXPECT_EQ(hooks.load(), b + 1);
+        EXPECT_EQ(sums[ub], b * 1000.0 * n + n * (n - 1) / 2.0);
+        left[ub].fetch_add(1);
+        if (me.id() % 5 == b % 5) let_others_run();
+        // The boards stay readable until the next barrier, as the sum
+        // collect_result copies does.
+        me.barrier();
+      }
+    });
+    EXPECT_EQ(hooks.load(), kBarriers) << "workers " << ec.workers;
+    for (const std::atomic<int>& l : left) EXPECT_EQ(l.load(), n);
+  }
+}
+
+TEST(Team, AbortWhileRanksPollThrowsInEveryWaiter) {
+  for (const ExecCase& ec : kExecCases) {
+    Team team(MachineModel::testing(8, 3));
+    team.set_execution(ec.mode, ec.workers);
+    const int n = team.size();
+    std::atomic<int> arrived{0};
+    std::atomic<int> aborted_waits{0};
+    try {
+      team.run([&](Rank& me) {
+        if (me.id() == n - 1) {
+          // Fail only once every peer has entered the barrier, and give
+          // them a while to poll (or block) there first.
+          while (arrived.load() < n - 1) let_others_run();
+          for (int i = 0; i < 200; ++i) let_others_run();
+          throw Error("last rank failed");
+        }
+        arrived.fetch_add(1);
+        try {
+          me.barrier();
+        } catch (const Error&) {
+          aborted_waits.fetch_add(1);
+          throw;
+        }
+        ADD_FAILURE() << "rank " << me.id() << " left an aborted barrier";
+      });
+      FAIL() << "Team::run must rethrow";
+    } catch (const Error& e) {
+      EXPECT_STREQ(e.what(), "last rank failed");
+    }
+    EXPECT_EQ(aborted_waits.load(), n - 1) << "workers " << ec.workers;
+  }
 }
 
 }  // namespace

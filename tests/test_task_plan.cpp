@@ -519,6 +519,88 @@ TEST(Ordering, AGroupPlansMatchStableFirstSeenOrder) {
   EXPECT_TRUE(regrouped) << "no plan exercised a non-trivial regroup";
 }
 
+// FNV-1a over every field of every task of every rank's plan, plus each
+// plan's buffer maxima and K total, for a fixed sweep of plan models.
+class PlanHash {
+ public:
+  void add(std::uint64_t v) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h_ ^= (v >> (8 * byte)) & 0xffu;
+      h_ *= 0x100000001b3ull;
+    }
+  }
+  void add(const TaskPlan& plan) {
+    add(plan.tasks.size());
+    for (const Task& t : plan.tasks) {
+      for (index_t v : {t.ci, t.cj, t.cm, t.cn, t.k0, t.kk, t.a_i0, t.a_j0,
+                        t.a_m, t.a_n, t.b_i0, t.b_j0, t.b_m, t.b_n})
+        add(static_cast<std::uint64_t>(v));
+      add(t.a_in_domain);
+      add(t.b_in_domain);
+      for (int v : {t.a_owner, t.b_owner, t.a_owner_col})
+        add(static_cast<std::uint64_t>(static_cast<std::int64_t>(v)));
+    }
+    for (index_t v : {plan.max_a_m, plan.max_a_n, plan.max_b_m, plan.max_b_n,
+                      plan.k_total})
+      add(static_cast<std::uint64_t>(v));
+  }
+  [[nodiscard]] std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ull;
+};
+
+TEST(TaskPlan, PlansAreByteStableAcrossASweep) {
+  // Three machines (2-, 16- and 3-way shared-memory domains) x two
+  // rectangular shapes x four transposes x c_chunk x k_chunk x all 16
+  // ordering-flag combinations, plus the 1024-rank N = 16000 scale point
+  // with default options.  Plans must stay byte-identical across planner
+  // optimizations: a change that moves any task field, or swaps any two
+  // tasks, changes the hash.
+  const std::vector<MachineModel> machines = {MachineModel::linux_myrinet(4),
+                                              MachineModel::ibm_sp(2),
+                                              MachineModel::testing(2, 3)};
+  const std::array<std::array<index_t, 3>, 2> shapes = {
+      {{300, 200, 500}, {250, 410, 330}}};
+  PlanHash hash;
+  std::size_t tasks = 0;
+  auto add_model = [&](const analysis::AnalysisConfig& cfg) {
+    const analysis::PlanModel pm = analysis::build_plan_model(cfg);
+    for (const analysis::RankModel& rm : pm.ranks) {
+      hash.add(rm.plan);
+      tasks += rm.plan.tasks.size();
+    }
+  };
+  for (const MachineModel& mm : machines)
+    for (const auto& [m, n, k] : shapes)
+      for (int tr = 0; tr < 4; ++tr)
+        for (index_t c_chunk : {0, 64})
+          for (index_t k_chunk : {0, 37})
+            for (const OrderingPolicy& p : all_policies()) {
+              analysis::AnalysisConfig cfg;
+              cfg.machine = mm;
+              cfg.m = m;
+              cfg.n = n;
+              cfg.k = k;
+              cfg.options.ta =
+                  (tr & 1) != 0 ? blas::Trans::Yes : blas::Trans::No;
+              cfg.options.tb =
+                  (tr & 2) != 0 ? blas::Trans::Yes : blas::Trans::No;
+              cfg.options.c_chunk = c_chunk;
+              cfg.options.k_chunk = k_chunk;
+              cfg.options.lookahead = 2;  // SRUMMA_LOOKAHEAD must not matter
+              cfg.options.ordering = p;
+              add_model(cfg);
+            }
+  analysis::AnalysisConfig scale;
+  scale.machine = MachineModel::linux_myrinet(512);
+  scale.m = scale.n = scale.k = 16000;
+  scale.options.lookahead = 2;
+  add_model(scale);
+  EXPECT_EQ(tasks, 601952u);
+  EXPECT_EQ(hash.value(), 0x87ebdd6876a3cf05ull);
+}
+
 TEST(Ordering, AReuseGroupsConsecutiveAPatches) {
   PlanEnv env(MachineModel::testing(1, 1));
   env.team.run([&](Rank& me) {

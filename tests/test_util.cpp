@@ -218,6 +218,49 @@ TEST(Cli, BadIntThrows) {
   EXPECT_THROW((void)p.get_int("n"), std::exception);
 }
 
+// The error a getter throws for `value`, or "" when it parses.
+template <typename Get>
+std::string cli_error(const char* value, Get get) {
+  CliParser p;
+  p.add_flag("n", "1", "");
+  const char* argv[] = {"prog", "--n", value};
+  EXPECT_TRUE(p.parse(3, argv));
+  try {
+    (void)get(p);
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Cli, IntegerErrorsNameTheFlagAndTheValue) {
+  const auto get_int = [](const CliParser& p) { return p.get_int("n"); };
+  EXPECT_EQ(cli_error("two", get_int),
+            "--n='two' is invalid: expected an integer");
+  EXPECT_EQ(cli_error("12x", get_int),
+            "--n='12x' is invalid: expected an integer");
+  EXPECT_EQ(cli_error("", get_int), "--n='' is invalid: expected an integer");
+  EXPECT_EQ(cli_error("99999999999999999999", get_int),
+            "--n='99999999999999999999' is invalid: expected an integer in "
+            "[-9223372036854775808, 9223372036854775807]");
+  EXPECT_EQ(cli_error("-42", get_int), "");
+}
+
+TEST(Cli, RealErrorsNameTheFlagAndTheValue) {
+  const auto get_double = [](const CliParser& p) {
+    return p.get_double("n");
+  };
+  EXPECT_EQ(cli_error("fast", get_double),
+            "--n='fast' is invalid: expected a finite number");
+  EXPECT_EQ(cli_error("2.5s", get_double),
+            "--n='2.5s' is invalid: expected a finite number");
+  EXPECT_EQ(cli_error("1e999", get_double),
+            "--n='1e999' is invalid: expected a finite number");
+  EXPECT_EQ(cli_error("inf", get_double),
+            "--n='inf' is invalid: expected a finite number");
+  EXPECT_EQ(cli_error("2.5e-3", get_double), "");
+}
+
 TEST(Units, Literals) {
   EXPECT_DOUBLE_EQ(5_us, 5e-6);
   EXPECT_DOUBLE_EQ(2.5_GBs, 2.5e9);

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <thread>
@@ -210,6 +211,74 @@ TEST(Resource, BookingConservationUnderHammer) {
         << "overlapping reservations at index " << i;
   EXPECT_NEAR(r.busy_total(), busy, 1e-9);
   EXPECT_NEAR(r.next_free(), all.back().second, 0.0);
+}
+
+TEST(Resource, FrontierCoalescingMidRoundPreservesFutureBookings) {
+  // A barrier merges the dead prefix after it releases the ranks, so some
+  // bookings with ready >= W land before advance_frontier(W) does.  The
+  // placements must still be exactly the uncoalesced reference's.
+  Resource r;
+  ReferenceResource ref;
+  std::uint64_t seed = 4242;
+  double watermark = 0.0;
+  for (int round = 0; round < 50; ++round) {
+    const std::uint64_t merge_at = lcg(seed) % 200;
+    for (std::uint64_t i = 0; i < 200; ++i) {
+      if (i == merge_at) r.advance_frontier(watermark);
+      const double ready =
+          watermark + static_cast<double>(lcg(seed) % 512) * 0.5;
+      const double dur = static_cast<double>(lcg(seed) % 32) * 0.25;
+      ASSERT_EQ(r.book(ready, dur), ref.book(ready, dur))
+          << "round " << round << " op " << i;
+    }
+    watermark += 100.0;
+  }
+}
+
+TEST(Resource, NodePairHammerConservesBookings) {
+  // The two ranks of one node on two harness workers: each books the
+  // node's shared NIC back to back, from its own last completion plus a
+  // rank-specific gap, while one of them merges the dead prefix up to the
+  // pair's slower clock, as a barrier release does.  Reservations must
+  // never overlap or start before their ready time, and the lock-free
+  // totals must be exact.
+  Resource r;
+  constexpr int kOps = 50000;
+  std::vector<std::vector<std::pair<double, double>>> placed(2);
+  std::atomic<double> floor[2] = {0.0, 0.0};
+  std::vector<std::thread> ts;
+  for (int t = 0; t < 2; ++t)
+    ts.emplace_back([&, t] {
+      std::uint64_t seed = 77 + static_cast<std::uint64_t>(t);
+      double ready = 0.0;
+      auto& mine = placed[static_cast<std::size_t>(t)];
+      for (int i = 0; i < kOps; ++i) {
+        const double dur = 0.25 + static_cast<double>(lcg(seed) % 8) * 0.125;
+        const double end = r.book(ready, dur);
+        ASSERT_GE(end - dur, ready);
+        mine.push_back({end - dur, end});
+        ready = end + static_cast<double>(t + 1) * 0.0625;
+        floor[t].store(ready);
+        if (t == 0 && i % 64 == 0)
+          r.advance_frontier(std::min(floor[0].load(), floor[1].load()));
+      }
+    });
+  for (auto& t : ts) t.join();
+
+  std::vector<std::pair<double, double>> all;
+  double busy = 0.0;
+  for (auto& v : placed)
+    for (auto& iv : v) {
+      all.push_back(iv);
+      busy += iv.second - iv.first;
+    }
+  ASSERT_EQ(all.size(), 2u * kOps);
+  std::sort(all.begin(), all.end());
+  for (std::size_t i = 1; i < all.size(); ++i)
+    ASSERT_LE(all[i - 1].second, all[i].first)
+        << "overlapping reservations at index " << i;
+  EXPECT_NEAR(r.busy_total(), busy, 1e-6);
+  EXPECT_EQ(r.next_free(), all.back().second);
 }
 
 TEST(Resource, NextFreeAndBusyVisibleWithoutLock) {
