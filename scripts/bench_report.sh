@@ -127,8 +127,6 @@ assert hb["metrics"]["handback_wait_s"] <= 1e-12, (
 assert ec["engine_tasks"] + ec["tasks_stolen"] \
     == ec["copy_tasks"] + ec["direct_tasks"] == ec["gemm_calls"], \
     "steal: engine ledger does not reconcile"
-assert ec["task_requeues"] == 0, \
-    "steal: engine must re-arm fetches, never requeue tasks"
 pc = pipe["counters"]
 assert pc["engine_tasks"] == pc["tasks_stolen"] == 0, \
     "steal: pipeline arm reported engine activity"

@@ -3,7 +3,9 @@
 #   1.  configure + build + full ctest suite (Release);
 #   1b. an ASan/UBSan build of the library running the kernel-verification
 #       harness (test_gemm_kernels), the pooled fiber harness and its stack
-#       cache (test_harness_pool) and the task-plan suite (test_task_plan)
+#       cache (test_harness_pool), the task-plan suite (test_task_plan),
+#       and the fault and chaos suites (test_fault_recovery, test_chaos),
+#       whose operand re-arms re-target live, shared operand buffers,
 #       under the sanitizers; then the dispatch guard (an AVX-512 host must
 #       auto-select the avx512 kernel) and the multiply suites pinned to the
 #       avx2 kernel, which auto-selection no longer picks on such hosts;
@@ -80,15 +82,16 @@ cmake --build "$build" -j "$jobs"
 ctest --test-dir "$build" --output-on-failure -j "$jobs"
 
 echo
-echo "== tier 1b: kernels, fiber harness, task plans under ASan/UBSan ($asan_build), dispatch =="
+echo "== tier 1b: kernels, fiber harness, task plans, fault re-arm under ASan/UBSan ($asan_build), dispatch =="
 cmake -B "$asan_build" -S "$repo" \
   -DSRUMMA_SANITIZE=address,undefined \
   -DSRUMMA_BUILD_BENCH=OFF \
   -DSRUMMA_BUILD_EXAMPLES=OFF
 cmake --build "$asan_build" -j "$jobs" \
-  --target test_gemm_kernels --target test_harness_pool --target test_task_plan
+  --target test_gemm_kernels --target test_harness_pool --target test_task_plan \
+  --target test_fault_recovery --target test_chaos
 ctest --test-dir "$asan_build" --output-on-failure \
-  -R '^(test_gemm_kernels|test_harness_pool|test_task_plan)$'
+  -R '^(test_gemm_kernels|test_harness_pool|test_task_plan|test_fault_recovery|test_chaos)$'
 # A silently failed -mavx512f probe would drop the kernel from the registry
 # and fall back to avx2 without any test failing; catch it here.
 if grep -qw avx512f /proc/cpuinfo 2> /dev/null; then

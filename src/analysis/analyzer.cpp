@@ -681,9 +681,9 @@ RankBounds rank_bounds(const PlanModel& pm, const RankModel& rm) {
   const std::uint64_t window = n_slots;  // engine issue window
 
   // Pipeline: (lookahead+2) A states + (lookahead+1) B slots, each capped
-  // by the largest patch it can ever be grown to.  Holds for any execution
-  // order, including fault requeues (caps are grow-only per state and a
-  // requeued task's patches obey the same maxima).
+  // by the largest patch it can ever be grown to.  Holds under fault
+  // re-arms too (caps are grow-only per state and a re-armed patch is the
+  // same patch).
   rb.pipeline_bytes = (n_slots + 1) * max_a + n_slots * max_b;
   // One pin per unwaited copy-path acquire: at most lookahead+2 A states
   // and lookahead+1 B slots are ever unwaited at once.

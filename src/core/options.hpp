@@ -55,7 +55,7 @@ enum class EngineMode : std::uint8_t {
   /// Defer to the SRUMMA_ENGINE environment variable (unset/0 = Off).
   Auto,
   /// The paper's static ordered pipeline (Fig. 3): in-order waits, slot
-  /// rotation, tail requeue on operand failure.  Deterministic timing.
+  /// rotation, failed operands re-armed in place.  Deterministic timing.
   Off,
   /// Dependency-driven task engine (src/engine): per-task operand
   /// ownership, out-of-order execution across C tiles, fetch re-arm on
@@ -82,8 +82,7 @@ struct SrummaOptions {
   /// classic double buffer).  Deeper pipelines trade buffer memory for
   /// resilience to bursty contention; an extension beyond the paper,
   /// ablated in bench_ablation_blocksize.  Ignored when !nonblocking.
-  /// 0 = auto: the SRUMMA_LOOKAHEAD environment variable if set, otherwise
-  /// the latency-bandwidth-product heuristic
+  /// 0 = auto: the latency-bandwidth-product heuristic
   /// clamp(ceil(net_latency * net_bw / patch_bytes), 1, 8).
   int lookahead = 0;
 

@@ -8,7 +8,6 @@
 #include <map>
 #include <numeric>
 
-#include "util/env.hpp"
 #include "util/error.hpp"
 
 namespace srumma {
@@ -140,26 +139,21 @@ SrummaOptions tune_options(int rank, const MachineModel& mm,
   }
 
   if (tuned.lookahead == 0) {
-    // Auto prefetch depth: SRUMMA_LOOKAHEAD wins; otherwise keep enough
-    // patches in flight to cover the network's latency-bandwidth product
-    // (one get's payload per slot), so the pipeline never drains while an
-    // issue is still paying t_s.  A patch is roughly (local C extent,
-    // capped by c_chunk) x k_chunk doubles.
-    if (const auto env_lookahead = env::integer<int>("SRUMMA_LOOKAHEAD")) {
-      tuned.lookahead = *env_lookahead;
-    } else {
-      index_t est_rows =
-          std::max({c.block_rows(rank), c.block_cols(rank), index_t{1}});
-      if (tuned.c_chunk > 0) est_rows = std::min(est_rows, tuned.c_chunk);
-      const double patch_bytes =
-          static_cast<double>(est_rows) *
-          static_cast<double>(std::max<index_t>(tuned.k_chunk, 1)) *
-          static_cast<double>(sizeof(double));
-      tuned.lookahead = std::clamp(
-          static_cast<int>(
-              std::ceil(mm.net_latency * mm.net_bw / patch_bytes)),
-          1, 8);
-    }
+    // Auto prefetch depth: keep enough patches in flight to cover the
+    // network's latency-bandwidth product (one get's payload per slot), so
+    // the pipeline never drains while an issue is still paying t_s.  A
+    // patch is roughly (local C extent, capped by c_chunk) x k_chunk
+    // doubles.
+    index_t est_rows =
+        std::max({c.block_rows(rank), c.block_cols(rank), index_t{1}});
+    if (tuned.c_chunk > 0) est_rows = std::min(est_rows, tuned.c_chunk);
+    const double patch_bytes =
+        static_cast<double>(est_rows) *
+        static_cast<double>(std::max<index_t>(tuned.k_chunk, 1)) *
+        static_cast<double>(sizeof(double));
+    tuned.lookahead = std::clamp(
+        static_cast<int>(std::ceil(mm.net_latency * mm.net_bw / patch_bytes)),
+        1, 8);
   }
 
   if (tuned.max_buffer_bytes > 0) {

@@ -126,12 +126,11 @@ struct TaskPlan {
                                    blas::Trans ta, blas::Trans tb);
 
 /// Resolve the auto-tuned option fields exactly as srumma_multiply does:
-/// k_chunk from the K-axis owner segmentation, lookahead from
-/// SRUMMA_LOOKAHEAD or the latency-bandwidth product, and the
-/// max_buffer_bytes shrink loop over (c_chunk, k_chunk).  Pure in the
-/// machine/layout inputs (the env override is deliberate: the analyzer must
-/// see the same pipeline depth the run would use).  Tuning is per rank —
-/// block extents differ — so team-wide static bounds take the max.
+/// k_chunk from the K-axis owner segmentation, lookahead from the
+/// latency-bandwidth product, and the max_buffer_bytes shrink loop over
+/// (c_chunk, k_chunk).  Pure in the machine/layout inputs, so the analyzer
+/// sees the pipeline depth the run would use.  Tuning is per rank — block
+/// extents differ — so team-wide static bounds take the max.
 [[nodiscard]] SrummaOptions tune_options(int rank, const MachineModel& mm,
                                          const MatrixLayout& a,
                                          const MatrixLayout& b,

@@ -11,8 +11,6 @@
 #include <utility>
 #include <vector>
 
-#include "blas/gemm.hpp"
-#include "cache/block_cache.hpp"
 #include "engine/operand.hpp"
 #include "fault/fault_plane.hpp"
 #include "runtime/abortable_wait.hpp"
@@ -28,11 +26,13 @@ namespace {
 // ---------------------------------------------------------------------------
 // Shared per-team state: one steal board per shared-memory domain.
 //
-// Ranks are OS threads sharing the process, so the board is plain shared
-// memory under a mutex — the modeled cost of the steal protocol is charged
-// separately (operand fetches on the thief's clock, one intra-domain tile
-// copy each way).  The condition variable is registered with the Team's
-// abort list so a rank parked on it wakes promptly when a peer throws.
+// Ranks share the process (fibers over a worker pool by default, or one OS
+// thread each; docs/HARNESS.md), so the board is plain shared memory under
+// a mutex — the modeled cost of the steal protocol is charged separately
+// (operand fetches on the thief's clock, one intra-domain tile copy each
+// way).  A rank parks on the condition variable by yielding its fiber; the
+// cv is registered with the Team's abort list so a parked rank wakes
+// promptly when a peer throws.
 // ---------------------------------------------------------------------------
 
 // One stealable task posted by its owner.  All claim/handback fields are
@@ -375,13 +375,14 @@ void run_plan(Rank& me, DistMatrix& a, DistMatrix& b, DistMatrix& c,
   } board_dereg{&dom, me.id()};
 
   // Registration rendezvous: wait until every domain mate's board is up.
-  // Rank threads race in real time independently of their virtual clocks
-  // (a single-CPU host can run one rank's whole plan inside a scheduler
-  // timeslice), so without this rendezvous the boards of domain mates may
-  // never coexist and no steal could ever be observed.  Every rank reaches
-  // this point — the dispatch in srumma_multiply is uniform across the
-  // team and nothing above blocks — so the wait is deadlock-free; a peer
-  // that throws earlier aborts the team, which wakes this cv.
+  // Ranks run in real time independently of their virtual clocks — a
+  // fiber runs until it blocks, so one rank can finish its whole plan
+  // before a mate starts — and without this rendezvous the boards of
+  // domain mates may never coexist and no steal could ever be observed.
+  // Every rank reaches this point — the dispatch in srumma_multiply is
+  // uniform across the team and nothing above blocks — so the wait is
+  // deadlock-free; a peer that throws earlier aborts the team, which wakes
+  // this cv.
   {
     int domain_ranks = 0;
     for (int r = 0; r < me.team().size(); ++r)
@@ -395,19 +396,7 @@ void run_plan(Rank& me, DistMatrix& a, DistMatrix& b, DistMatrix& c,
   }
 
   // -- cooperative block cache epoch (same policy as the static pipeline) ----
-  cache::BlockCacheSet* cache_sets[2] = {a.rma().block_cache(),
-                                         b.rma().block_cache()};
-  if (cache_sets[1] == cache_sets[0]) cache_sets[1] = nullptr;
-  const std::uint64_t cache_default_cap =
-      static_cast<std::uint64_t>(mm.domain_size()) *
-      (2 * static_cast<std::uint64_t>(lookahead) + 3) *
-      std::max(static_cast<std::uint64_t>(plan.max_a_m) *
-                   static_cast<std::uint64_t>(plan.max_a_n),
-               static_cast<std::uint64_t>(plan.max_b_m) *
-                   static_cast<std::uint64_t>(plan.max_b_n)) *
-      sizeof(double);
-  for (cache::BlockCacheSet* cset : cache_sets)
-    if (cset != nullptr) cset->begin_epoch(me, cache_default_cap);
+  CacheEpoch cache_epoch(me, a, b, executor_cache_cap(mm, plan, lookahead));
 
   // -- executor state --------------------------------------------------------
   // Issue window: how many own tasks may hold operand slots at once.  The
@@ -417,8 +406,10 @@ void run_plan(Rank& me, DistMatrix& a, DistMatrix& b, DistMatrix& c,
   const std::size_t window = static_cast<std::size_t>(lookahead) + 1;
   std::uint64_t live_bytes = 0;
   std::uint64_t peak_bytes = 0;
-  const std::size_t reissue_cap = 4 * n_tasks + 16;
-  std::size_t reissues = 0;
+  // One re-arm budget for the whole multiply, own tasks and steals alike.
+  ReissueBudget budget{4 * n_tasks + 16,
+                       "engine: operand reissue budget exhausted — transfers "
+                       "keep failing after RMA retries"};
 
   const auto patch_bytes = [](const Task& t, bool is_a) {
     return is_a ? static_cast<std::uint64_t>(t.a_m) *
@@ -461,7 +452,8 @@ void run_plan(Rank& me, DistMatrix& a, DistMatrix& b, DistMatrix& c,
 
   // Wait/verify/finish one slot for the consumer that got there first;
   // later consumers just sync their clock to the slot's ready time (the
-  // bytes exist only from that point in virtual time).
+  // bytes exist only from that point in virtual time).  Per slot rather
+  // than settle()'s per task, because slots dedup patches across tasks.
   const auto wait_slot = [&](DistMatrix& mat, Slot& s) {
     if (s.waited) {
       const double now = me.clock().now();
@@ -592,33 +584,9 @@ void run_plan(Rank& me, DistMatrix& a, DistMatrix& b, DistMatrix& c,
     OperandState sb;
     acquire(me, a, t.a_i0, t.a_j0, t.a_m, t.a_n, opt.shm_flavor, sa);
     acquire(me, b, t.b_i0, t.b_j0, t.b_m, t.b_n, opt.shm_flavor, sb);
-    for (;;) {
-      const bool af = sa.handle.pending;
-      const bool bf = sb.handle.pending;
-      if (af && !a.try_wait(me, sa.handle)) sa.failed = true;
-      if (bf && !b.try_wait(me, sb.handle)) sb.failed = true;
-      if (opt.verify_checksums) {
-        if (af) verify_operand(me, a, sa);
-        if (bf) verify_operand(me, b, sb);
-      }
-      finish_cache(me, a, sa, af, opt.verify_checksums);
-      finish_cache(me, b, sb, bf, opt.verify_checksums);
-      if (!sa.failed && !sb.failed) break;
-      // Fail-stop mid-steal: both handles were just drained; discard the
-      // claim (the victim is a domain mate, so it is dead too).
-      if (killed_now()) return false;
-      SRUMMA_REQUIRE(++reissues <= reissue_cap,
-                     "engine: operand reissue budget exhausted — transfers "
-                     "keep failing after RMA retries");
-      me.trace().task_reissues += 1;
-      if (tr != nullptr)
-        tr->instant(me.id(), trace::Phase::TaskRearm, me.clock().now(),
-                    d->task_idx);
-      if (sa.failed)
-        acquire(me, a, t.a_i0, t.a_j0, t.a_m, t.a_n, opt.shm_flavor, sa);
-      if (sb.failed)
-        acquire(me, b, t.b_i0, t.b_j0, t.b_m, t.b_n, opt.shm_flavor, sb);
-    }
+    // Fail-stop mid-steal: both handles are drained; discard the claim
+    // (the victim is a domain mate, so it is dead too).
+    if (!settle(me, a, b, t, opt, sa, sb, budget, d->task_idx)) return false;
     if (tr != nullptr)
       tr->instant(me.id(), trace::Phase::TaskReady, me.clock().now(),
                   d->task_idx);
@@ -631,29 +599,18 @@ void run_plan(Rank& me, DistMatrix& a, DistMatrix& b, DistMatrix& c,
                                      sizeof(double);
     charge_shm_copy(me, tile_bytes);
     Matrix scratch;
+    MatrixView sv;
     if (!phantom) {
       scratch = Matrix(t.cm, t.cn);
-      copy_tile(scratch.block(0, 0, t.cm, t.cn), d->c_tile);
-      // Same kernel, operand values and beta=1 accumulation as the owner
-      // would run, so the handed-back tile is bitwise what the owner would
-      // have computed.  Operand reads are declared like any compute; the
-      // C-tile traffic is engine-internal (mutex-synchronized scratch), so
-      // it is not declared against the owner's write epochs.
-      if (a.rma().checker() != nullptr) {
-        a.rma().declare_compute_read(me, sa.view.data(), sa.view.rows(),
-                                     sa.view.cols(), sa.view.ld());
-        b.rma().declare_compute_read(me, sb.view.data(), sb.view.rows(),
-                                     sb.view.cols(), sb.view.ld());
-      }
-      MatrixView sv = scratch.block(0, 0, t.cm, t.cn);
-      blas::gemm(opt.ta, opt.tb, opt.alpha, sa.view, sb.view, 1.0, sv);
+      sv = scratch.block(0, 0, t.cm, t.cn);
+      copy_tile(sv, d->c_tile);
     }
-    me.charge_gemm(t.cm, t.cn, t.kk, std::min(sa.rate_factor, sb.rate_factor));
-    if (sa.direct && sb.direct) {
-      me.trace().direct_tasks += 1;
-    } else {
-      me.trace().copy_tasks += 1;
-    }
+    // Same kernel, operand values and beta=1 accumulation as the owner
+    // would run, so the handed-back tile is bitwise what the owner would
+    // have computed.  The scratch tile is engine-internal (mutex-
+    // synchronized), so its write is not declared against the owner's
+    // write epochs.
+    multiply(me, opt, a, b, nullptr, t, sa, sb, sv);
     me.trace().tasks_stolen += 1;
     {
       std::lock_guard<std::mutex> lk(dom.mu);
@@ -733,39 +690,16 @@ void run_plan(Rank& me, DistMatrix& a, DistMatrix& b, DistMatrix& c,
     wait_slot(a, sa);
     wait_slot(b, sb);
     if (sa.st.failed || sb.st.failed) {
-      SRUMMA_REQUIRE(reissues < reissue_cap,
-                     "engine: operand reissue budget exhausted — transfers "
-                     "keep failing after RMA retries");
-      ++reissues;
-      me.trace().task_reissues += 1;
-      if (tr != nullptr)
-        tr->instant(me.id(), trace::Phase::TaskRearm, me.clock().now(), idx);
+      budget.charge(me, idx);
       if (sa.st.failed) acquire_slot(a, sa, t, true);
       if (sb.st.failed) acquire_slot(b, sb, t, false);
       return false;
     }
     if (tr != nullptr)
       tr->instant(me.id(), trace::Phase::TaskReady, me.clock().now(), idx);
-    if (!phantom) {
-      MatrixView c_tile = c.local_view(me).block(t.ci, t.cj, t.cm, t.cn);
-      if (a.rma().checker() != nullptr) {
-        a.rma().declare_compute_read(me, sa.st.view.data(), sa.st.view.rows(),
-                                     sa.st.view.cols(), sa.st.view.ld());
-        b.rma().declare_compute_read(me, sb.st.view.data(), sb.st.view.rows(),
-                                     sb.st.view.cols(), sb.st.view.ld());
-        c.rma().declare_compute_write(me, c_tile.data(), c_tile.rows(),
-                                      c_tile.cols(), c_tile.ld());
-      }
-      blas::gemm(opt.ta, opt.tb, opt.alpha, sa.st.view, sb.st.view, 1.0,
-                 c_tile);
-    }
-    me.charge_gemm(t.cm, t.cn, t.kk,
-                   std::min(sa.st.rate_factor, sb.st.rate_factor));
-    if (sa.st.direct && sb.st.direct) {
-      me.trace().direct_tasks += 1;
-    } else {
-      me.trace().copy_tasks += 1;
-    }
+    MatrixView c_tile;
+    if (!phantom) c_tile = c.local_view(me).block(t.ci, t.cj, t.cm, t.cn);
+    multiply(me, opt, a, b, &c, t, sa.st, sb.st, c_tile);
     me.trace().engine_tasks += 1;
     commit(task_tile[idx]);
     sa.inflight -= 1;
@@ -939,12 +873,8 @@ void run_plan(Rank& me, DistMatrix& a, DistMatrix& b, DistMatrix& c,
     // the domain's cache/checker state stays balanced; committed products
     // stay committed (the ledger counts them once on this rank), and the
     // uncommitted remainder is adopted by survivors from the replicas.
-    for (Slot& s : slots) {
-      if (s.mat == nullptr) continue;
-      const bool fetched = s.st.handle.pending;
-      if (fetched) s.mat->try_wait(me, s.st.handle);
-      finish_cache(me, *s.mat, s.st, fetched, false);
-    }
+    for (Slot& s : slots)
+      if (s.mat != nullptr) drain(me, *s.mat, s.st);
     dom.cv.notify_all();  // wake any mate still parked on this domain's cv
   }
 
@@ -957,10 +887,7 @@ void run_plan(Rank& me, DistMatrix& a, DistMatrix& b, DistMatrix& c,
   // result is collected — so adoption replays panels from cache instead of
   // refetching them.  kill_enabled() is rank-uniform; the tripped state is
   // not yet, so it must not steer the drop.
-  fault::FaultPlane* fplane = me.team().faults();
-  const bool keep_warm = fplane != nullptr && fplane->kill_enabled();
-  for (cache::BlockCacheSet* cset : cache_sets)
-    if (cset != nullptr) cset->end_epoch(me, keep_warm);
+  cache_epoch.close(me, /*keep_warm=*/kill_active);
 }
 
 }  // namespace srumma::engine

@@ -4,9 +4,8 @@
 //
 // The static pipeline in core/srumma.cpp executes the task plan strictly in
 // order: task t waits on the fetches issued for slot t mod (lookahead+1),
-// so one straggling get blocks every later task (head-of-line blocking),
-// and a failed operand sends the whole task to the tail of the list.  The
-// engine replaces those index-arithmetic lifetime rules with explicit
+// so one straggling get blocks every later task (head-of-line blocking).
+// The engine replaces those index-arithmetic lifetime rules with explicit
 // per-task operand ownership:
 //
 //   * every task owns references to its operand slots; a slot is fetched
@@ -18,7 +17,7 @@
 //     commit in plan order, which keeps C bitwise-identical to the
 //     pipeline's result;
 //   * a failed operand is re-armed in place (fresh fetch, task stays where
-//     it is) instead of requeued at the tail;
+//     it is), as in every executor (engine/operand.hpp);
 //   * tasks with an out-of-domain operand are posted on a per-domain board;
 //     an idle domain mate may steal one, fetch the operands itself, run the
 //     product into a scratch tile seeded with the owner's current C tile,

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "blas/gemm.hpp"
+#include "fault/fault_plane.hpp"
 #include "trace/tracer.hpp"
 #include "util/error.hpp"
 
@@ -142,6 +144,98 @@ void finish_cache(Rank& me, DistMatrix& mat, OperandState& st, bool fetched,
     cset->finish_fetch(me, st.cache_ref,
                        !st.failed && (verified || !corrupted), st.view);
   }
+}
+
+void ReissueBudget::charge(Rank& me, std::uint64_t idx) {
+  SRUMMA_REQUIRE(used < cap, exhausted);
+  ++used;
+  me.trace().task_reissues += 1;
+  if (trace::Tracer* tr = me.tracer())
+    tr->instant(me.id(), trace::Phase::TaskRearm, me.clock().now(), idx);
+}
+
+bool settle(Rank& me, DistMatrix& a, DistMatrix& b, const Task& t,
+            const SrummaOptions& opt, OperandState& sa, OperandState& sb,
+            ReissueBudget& budget, std::uint64_t idx) {
+  const fault::FaultPlane* fp = me.team().faults();
+  for (;;) {
+    const bool a_fetched = sa.handle.pending;
+    const bool b_fetched = sb.handle.pending;
+    if (a_fetched && !a.try_wait(me, sa.handle)) sa.failed = true;
+    if (b_fetched && !b.try_wait(me, sb.handle)) sb.failed = true;
+    if (opt.verify_checksums) {
+      // Only fresh fetches: a reused A patch was verified when its first
+      // consumer settled it, and the panels are read-only for the rest of
+      // the multiply.
+      if (a_fetched) verify_operand(me, a, sa);
+      if (b_fetched) verify_operand(me, b, sb);
+    }
+    finish_cache(me, a, sa, a_fetched, opt.verify_checksums);
+    finish_cache(me, b, sb, b_fetched, opt.verify_checksums);
+    if (!sa.failed && !sb.failed) return true;
+    if (fp != nullptr && fp->domain_killed(me.domain())) return false;
+    budget.charge(me, idx);
+    if (sa.failed)
+      acquire(me, a, t.a_i0, t.a_j0, t.a_m, t.a_n, opt.shm_flavor, sa);
+    if (sb.failed)
+      acquire(me, b, t.b_i0, t.b_j0, t.b_m, t.b_n, opt.shm_flavor, sb);
+  }
+}
+
+void multiply(Rank& me, const SrummaOptions& opt, DistMatrix& a,
+              DistMatrix& b, DistMatrix* c, const Task& t,
+              const OperandState& sa, const OperandState& sb, MatrixView dst) {
+  if (!a.phantom()) {
+    if (a.rma().checker() != nullptr) {
+      // Declare dgemm's operand reads (and the C-tile write): the checker
+      // verifies no pending fetch is still filling a buffer this kernel
+      // consumes, and joins direct views to the epoch conflict map.
+      a.rma().declare_compute_read(me, sa.view.data(), sa.view.rows(),
+                                   sa.view.cols(), sa.view.ld());
+      b.rma().declare_compute_read(me, sb.view.data(), sb.view.rows(),
+                                   sb.view.cols(), sb.view.ld());
+      if (c != nullptr)
+        c->rma().declare_compute_write(me, dst.data(), dst.rows(), dst.cols(),
+                                       dst.ld());
+    }
+    blas::gemm(opt.ta, opt.tb, opt.alpha, sa.view, sb.view, 1.0, dst);
+  }
+  me.charge_gemm(t.cm, t.cn, t.kk, std::min(sa.rate_factor, sb.rate_factor));
+  if (sa.direct && sb.direct) {
+    me.trace().direct_tasks += 1;
+  } else {
+    me.trace().copy_tasks += 1;
+  }
+}
+
+std::uint64_t executor_cache_cap(const MachineModel& mm, const TaskPlan& plan,
+                                 int lookahead) {
+  return static_cast<std::uint64_t>(mm.domain_size()) *
+         (2 * static_cast<std::uint64_t>(lookahead) + 3) *
+         std::max(static_cast<std::uint64_t>(plan.max_a_m) *
+                      static_cast<std::uint64_t>(plan.max_a_n),
+                  static_cast<std::uint64_t>(plan.max_b_m) *
+                      static_cast<std::uint64_t>(plan.max_b_n)) *
+         sizeof(double);
+}
+
+CacheEpoch::CacheEpoch(Rank& me, DistMatrix& a, DistMatrix& b,
+                       std::uint64_t cap, bool keep_warm)
+    : sets_{a.rma().block_cache(), b.rma().block_cache()} {
+  if (sets_[1] == sets_[0]) sets_[1] = nullptr;
+  for (cache::BlockCacheSet* cset : sets_)
+    if (cset != nullptr) cset->begin_epoch(me, cap, keep_warm);
+}
+
+void CacheEpoch::close(Rank& me, bool keep_warm) {
+  for (cache::BlockCacheSet* cset : sets_)
+    if (cset != nullptr) cset->end_epoch(me, keep_warm);
+}
+
+void drain(Rank& me, DistMatrix& mat, OperandState& st) {
+  const bool fetched = st.handle.pending;
+  if (fetched) mat.try_wait(me, st.handle);
+  finish_cache(me, mat, st, fetched, false);
 }
 
 }  // namespace srumma::engine

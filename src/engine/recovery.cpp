@@ -8,8 +8,6 @@
 #include <utility>
 #include <vector>
 
-#include "blas/gemm.hpp"
-#include "cache/block_cache.hpp"
 #include "engine/engine.hpp"
 #include "engine/operand.hpp"
 #include "runtime/team.hpp"
@@ -108,6 +106,7 @@ void adopt_range(Rank& me, DistMatrix& a, DistMatrix& b, DistMatrix& c,
   };
   struct Item {
     const Task* t;
+    std::size_t idx;  // index in the dead rank's plan (TaskRearm arg)
     std::size_t tile;
     bool first, last;
   };
@@ -138,7 +137,8 @@ void adopt_range(Rank& me, DistMatrix& a, DistMatrix& b, DistMatrix& c,
     tiles.push_back(std::move(tl));
     const std::size_t tix = tiles.size() - 1;
     for (std::size_t k = 0; k < ch.task_idxs.size(); ++k)
-      stream.push_back(Item{&dep.plan.tasks[ch.task_idxs[k]], tix, k == 0,
+      stream.push_back(Item{&dep.plan.tasks[ch.task_idxs[k]],
+                            ch.task_idxs[k], tix, k == 0,
                             k + 1 == ch.task_idxs.size()});
   }
   // All seeds up front: the gets overlap each other, the operand prefetch
@@ -174,56 +174,25 @@ void adopt_range(Rank& me, DistMatrix& a, DistMatrix& b, DistMatrix& c,
       adopt_span.emplace(me.tracer(), me.id(), trace::Phase::Adopt,
                          me.clock(),
                          static_cast<std::uint64_t>(tl.ch->dead_rank));
-      for (int tries = 0; tl.seeded;) {
-        if (c.try_wait(me, tl.seed)) break;
-        SRUMMA_REQUIRE(
-            ++tries <= 16,
-            "recovery: replica seed fetch keeps failing after retries");
-        me.trace().task_reissues += 1;
+      ReissueBudget seed_budget{
+          16, "recovery: replica seed fetch keeps failing after retries"};
+      while (tl.seeded && !c.try_wait(me, tl.seed)) {
+        seed_budget.charge(me, stream[ti].idx);
         tl.seed = c.fetch_nb(me, tl.gi, tl.gj, tl.cm, tl.cn, tl.sv);
       }
     }
     OperandState& sa = fl[ti % depth].sa;
     OperandState& sb = fl[ti % depth].sb;
-    int reissues = 0;
-    for (;;) {
-      const bool af = sa.handle.pending;
-      const bool bf = sb.handle.pending;
-      if (af && !a.try_wait(me, sa.handle)) sa.failed = true;
-      if (bf && !b.try_wait(me, sb.handle)) sb.failed = true;
-      if (opt.verify_checksums) {
-        if (af) verify_operand(me, a, sa);
-        if (bf) verify_operand(me, b, sb);
-      }
-      finish_cache(me, a, sa, af, opt.verify_checksums);
-      finish_cache(me, b, sb, bf, opt.verify_checksums);
-      if (!sa.failed && !sb.failed) break;
-      SRUMMA_REQUIRE(++reissues <= 16,
-                     "recovery: adopted-task operand keeps failing after "
-                     "retries");
-      me.trace().task_reissues += 1;
-      if (sa.failed)
-        acquire(me, a, t.a_i0, t.a_j0, t.a_m, t.a_n, opt.shm_flavor, sa);
-      if (sb.failed)
-        acquire(me, b, t.b_i0, t.b_j0, t.b_m, t.b_n, opt.shm_flavor, sb);
-    }
-    if (!phantom) {
-      if (a.rma().checker() != nullptr) {
-        a.rma().declare_compute_read(me, sa.view.data(), sa.view.rows(),
-                                     sa.view.cols(), sa.view.ld());
-        b.rma().declare_compute_read(me, sb.view.data(), sb.view.rows(),
-                                     sb.view.cols(), sb.view.ld());
-      }
-      // Scratch is adopter-local (like a thief's), so the C-tile write is
-      // not declared against put epochs; the store below is.
-      blas::gemm(opt.ta, opt.tb, opt.alpha, sa.view, sb.view, 1.0, tl.sv);
-    }
-    me.charge_gemm(t.cm, t.cn, t.kk, std::min(sa.rate_factor, sb.rate_factor));
-    if (sa.direct && sb.direct) {
-      me.trace().direct_tasks += 1;
-    } else {
-      me.trace().copy_tasks += 1;
-    }
+    // An adopter is a survivor: its own domain is never the killed one, so
+    // settle always delivers.
+    ReissueBudget budget{
+        16, "recovery: adopted-task operand keeps failing after retries"};
+    const bool settled =
+        settle(me, a, b, t, opt, sa, sb, budget, stream[ti].idx);
+    SRUMMA_ASSERT(settled, "recovery: adopter's own domain is dead");
+    // Scratch is adopter-local (like a thief's), so the C-tile write is
+    // not declared against put epochs; the store below is.
+    multiply(me, opt, a, b, nullptr, t, sa, sb, tl.sv);
     me.trace().tasks_adopted += 1;
     if (ti + depth < stream.size()) issue(ti + depth);
     if (stream[ti].last) {
@@ -234,12 +203,10 @@ void adopt_range(Rank& me, DistMatrix& a, DistMatrix& b, DistMatrix& c,
     }
   }
   for (Tile& tl : tiles) {
-    for (int tries = 0;;) {
-      if (c.try_wait(me, tl.store)) break;
-      SRUMMA_REQUIRE(++tries <= 16,
-                     "recovery: reconstructed-tile store keeps failing after "
-                     "retries");
-      me.trace().task_reissues += 1;
+    ReissueBudget store_budget{
+        16, "recovery: reconstructed-tile store keeps failing after retries"};
+    while (!c.try_wait(me, tl.store)) {
+      store_budget.charge(me, tl.ch->task_idxs.back());
       tl.store = c.store_nb(me, tl.gi, tl.gj, tl.cm, tl.cn, tl.sv);
     }
   }
@@ -278,9 +245,6 @@ void RecoveryGuard::run(Rank& me, DistMatrix& a, DistMatrix& b,
 
   // Adoption reads flow through the cooperative cache exactly like executor
   // operand fetches: several adopters of one dead rank share its A panels.
-  cache::BlockCacheSet* cache_sets[2] = {a.rma().block_cache(),
-                                         b.rma().block_cache()};
-  if (cache_sets[1] == cache_sets[0]) cache_sets[1] = nullptr;
   // Size the recovery epoch for the whole replayed working set — every A/B
   // panel the dead ranks' plans touch — so each surviving domain fetches a
   // panel at most once (single-flight) and replays the rest from cache; an
@@ -300,8 +264,7 @@ void RecoveryGuard::run(Rank& me, DistMatrix& a, DistMatrix& b,
   // panels survivors fetched during the run — including the dead ranks'
   // own A/B blocks, cached under the matrix-level region seq that replica
   // redirect preserves — serve adoption reads without touching the wire.
-  for (cache::BlockCacheSet* cset : cache_sets)
-    if (cset != nullptr) cset->begin_epoch(me, cache_cap, /*keep_warm=*/true);
+  CacheEpoch cache_epoch(me, a, b, cache_cap, /*keep_warm=*/true);
 
   if (!zombie) {
     // Build the chain list once: every dead rank's commit chains, in
@@ -408,8 +371,7 @@ void RecoveryGuard::run(Rank& me, DistMatrix& a, DistMatrix& b,
     adopt_range(me, a, b, c, ses_->chains, lo, hi, ses_->deposits);
   }
 
-  for (cache::BlockCacheSet* cset : cache_sets)
-    if (cset != nullptr) cset->end_epoch(me);
+  cache_epoch.close(me);
   // Repairs published before anyone gathers or reuses the matrices.
   me.barrier();
 }

@@ -13,13 +13,14 @@
 //      the domain dead (barrier-level failure detection: this also covers
 //      the Barrier kill point, which fails no transfer, so the RMA
 //      drain path alone would never detect it);
-//   3. adoption — survivors claim the dead ranks' C-tile commit chains from
-//      a shared claim board, seed a scratch tile with the buddy replica's
-//      post-beta snapshot, replay the chain's block products in plan order
-//      (the same operand acquisition and dgemm the owner would have run, so
-//      the reconstructed tile is bitwise the fault-free result), and store
-//      it back — the store redirects into the buddy replica, where
-//      gather_to serves dead-domain blocks from.
+//   3. adoption — each survivor is assigned a deterministic, contiguous,
+//      affinity-weighted range of the dead ranks' C-tile commit chains,
+//      seeds a scratch tile with the buddy replica's post-beta snapshot,
+//      replays the chain's block products in plan order (the same operand
+//      acquire, settle and multiply the owner would have run, so the
+//      reconstructed tile is bitwise the fault-free result), and stores it
+//      back — the store redirects into the buddy replica, where gather_to
+//      serves dead-domain blocks from.
 //
 // The guard registry is keyed by Team* with the same lifetime discipline as
 // the engine's steal boards: srumma_multiply's entry barrier precedes every

@@ -136,9 +136,6 @@ void Team::run(const std::function<void(Rank&)>& body) {
   };
 
   ExecMode mode = exec_mode_;
-  if (mode == ExecMode::Auto)
-    mode = env::word("SRUMMA_HARNESS") == "threads" ? ExecMode::Threads
-                                                    : ExecMode::Pooled;
   // A body that itself runs a nested team cannot stack a second fiber pool
   // on a fiber: fall back to thread-per-rank for the nested run.  No
   // in-tree code outside the tests nests runs this way.

@@ -35,12 +35,10 @@ class Team;
 ///  - Pooled: ranks are stackful fibers multiplexed over a bounded worker
 ///    pool (see runtime/fiber_exec.hpp); blocking points park by yielding.
 ///    The default — 1024+-rank teams cost no OS threads.
-///  - Threads: one OS thread per rank; the original mode, kept as a
-///    fallback and as the differential-testing oracle (tests assert both
-///    modes produce bitwise-identical virtual-time results).
-///  - Auto: resolve from SRUMMA_HARNESS ("pooled" | "threads"; default
-///    pooled, any other value throws) at run() time.
-enum class ExecMode : std::uint8_t { Auto, Pooled, Threads };
+///  - Threads: one OS thread per rank; the original mode, kept as the
+///    differential-testing oracle (tests assert both modes produce
+///    bitwise-identical virtual-time results).
+enum class ExecMode : std::uint8_t { Pooled, Threads };
 
 /// Per-rank execution context handed to the SPMD body.
 class Rank {
@@ -110,8 +108,8 @@ class Team {
 
   /// Run an SPMD body on every rank; blocks until all complete.  The first
   /// exception thrown by any rank is rethrown here after all ranks finish.
-  /// A malformed SRUMMA_HARNESS, SRUMMA_HARNESS_THREADS or
-  /// SRUMMA_HARNESS_STACK_KB throws srumma::Error before any rank starts.
+  /// A malformed SRUMMA_HARNESS_THREADS or SRUMMA_HARNESS_STACK_KB throws
+  /// srumma::Error before any rank starts.
   void run(const std::function<void(Rank&)>& body);
 
   /// Select the execution mode (and, for Pooled, an optional worker-count
@@ -229,7 +227,7 @@ class Team {
   std::vector<std::condition_variable*> abort_cv_slots_;
   std::vector<std::uint64_t> abort_cv_free_;
 
-  ExecMode exec_mode_ = ExecMode::Auto;
+  ExecMode exec_mode_ = ExecMode::Pooled;
   int exec_workers_ = 0;
 
   void notify_epoch_observers(int rank);

@@ -11,7 +11,7 @@
 //   * in-flight communication (nbget/nbput/nbacc/send/recv) exports as
 //     async "b"/"e" pairs with unique ids, so overlapping transfers
 //     stack instead of corrupting the CPU track;
-//   * instants (task issue, requeue, fault, retry, ...) are "i" events;
+//   * instants (task issue, rearm, fault, retry, ...) are "i" events;
 //   * counter tracks (inflight bytes/ops, recovery seconds) are "C"
 //     events, one named series per rank.
 // Timestamps are *virtual* microseconds (ts = virtual seconds * 1e6).

@@ -50,14 +50,14 @@ std::string describe(const MultiplyResult& r) {
      << static_cast<double>(r.trace.bytes_msg) / 1e6 << " MB";
   const TraceCounters& t = r.trace;
   if (t.faults_injected + t.faults_corrupted + t.faults_delayed +
-          t.rma_retries + t.rma_op_timeouts + t.task_requeues +
-          t.task_reissues + t.shm_fallbacks + t.checksum_redos >
+          t.rma_retries + t.rma_op_timeouts + t.task_reissues +
+          t.shm_fallbacks + t.checksum_redos >
       0) {
     os << ", recovery: " << t.faults_injected << " failed / "
        << t.faults_corrupted << " corrupted / " << t.faults_delayed
        << " delayed ops, " << t.rma_retries << " retries ("
-       << t.rma_op_timeouts << " op-timeouts), " << t.task_requeues
-       << " task requeues, " << t.task_reissues << " fetch reissues, "
+       << t.rma_op_timeouts << " op-timeouts), " << t.task_reissues
+       << " fetch reissues, "
        << t.shm_fallbacks << " shm fallbacks, "
        << t.checksum_redos << " checksum redos, "
        << t.time_recovery * 1e3 << " ms in recovery";

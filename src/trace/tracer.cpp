@@ -30,7 +30,6 @@ const char* phase_name(Phase p) {
     case Phase::TaskSteal: return "task stolen";
     case Phase::StealDenied: return "steal denied";
     case Phase::TaskRearm: return "task rearm";
-    case Phase::Requeue: return "task requeue";
     case Phase::ShmFallback: return "shm fallback";
     case Phase::Fault: return "fault injected";
     case Phase::OpTimeout: return "op timeout";

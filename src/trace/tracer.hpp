@@ -70,9 +70,8 @@ enum class Phase : std::uint8_t {
   TaskSteal,    ///< engine task claimed by an idle domain mate (arg = index)
   StealDenied,  ///< steal attempt whose admission test denied every
                 ///< claimable task (arg = first denied victim's rank)
-  TaskRearm,    ///< engine marked a task not-ready and re-armed its failed
-                ///< operand fetches (the engine's requeue replacement)
-  Requeue,      ///< task re-enqueued at the tail after operand failure
+  TaskRearm,    ///< an executor re-armed a task's failed operand fetches
+                ///< in place (arg = task index); one per task_reissues
   ShmFallback,  ///< Direct -> Copy operand degradation (dead domain)
   Fault,        ///< transient transfer failure injected
   OpTimeout,    ///< attempt abandoned (or counted) by the per-op deadline

@@ -69,10 +69,8 @@ inline constexpr Variable kVariables[] = {
     {"SRUMMA_FAULT_STRAGGLER_FACTOR", Kind::Real, 1, kInf},
     {"SRUMMA_FAULT_STRAGGLER_NODE", Kind::Integer, -1, kInt},
     {"SRUMMA_GEMM_KERNEL", Kind::Text, 0, 0, "kernel name"},
-    {"SRUMMA_HARNESS", Kind::Word, 0, 0, "pooled|threads"},
     {"SRUMMA_HARNESS_STACK_KB", Kind::Integer, 64, 64 * 1024},
     {"SRUMMA_HARNESS_THREADS", Kind::Integer, 1, 4096},
-    {"SRUMMA_LOOKAHEAD", Kind::Integer, 1, 64},
     {"SRUMMA_RMA_CHECK", Kind::Flag},
     {"SRUMMA_RMA_JOURNAL", Kind::Text, 0, 0, "file path"},
     {"SRUMMA_TRACE", Kind::Text, 0, 0, "file path"},

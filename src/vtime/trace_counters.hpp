@@ -51,11 +51,10 @@
      target's shared-memory domain fail-stopped.  Counted separately from      \
      rma_op_timeouts: "peer gone" is not "peer slow". */                       \
   X(std::uint64_t, rma_domain_dead, Sum)                                       \
-  X(std::uint64_t, task_requeues, Sum)  /* tasks re-enqueued at tail */        \
-  /* Operand fetches re-issued after a task's first acquire failed: the        \
-     legacy pipeline counts the re-issue of each requeued tail copy, the       \
-     task engine counts each fetch re-arm.  Keeps the classification           \
-     identity exact under faults:                                              \
+  /* Re-arm rounds: a task whose operand exhausted its RMA retries             \
+     re-acquires that operand in place (every executor, and the recovery       \
+     adopter's seeds and stores); one TaskRearm instant each.  Keeps the       \
+     classification identity exact under faults:                               \
        copy_tasks + direct_tasks == block products executed                    \
      — re-acquires inflate task_reissues, never the class counters. */         \
   X(std::uint64_t, task_reissues, Sum)                                         \

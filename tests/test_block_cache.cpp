@@ -422,25 +422,18 @@ TEST(RmaZeroByte, CompletesImmediatelyWithoutOverheadOrFaultDraw) {
   });
 }
 
-TEST(Lookahead, EnvOverrideAndHeuristicBothMatchReference) {
+TEST(Lookahead, HeuristicAndExplicitBothMatchReference) {
   const index_t n = 128;
   SrummaOptions opt = tiled_copy_options();
   ASSERT_EQ(opt.lookahead, 0);  // default = auto
   const Matrix ref = reference_product(n, 53);
 
-  // Heuristic path (no env): clamp(ceil(latency*bw/patch_bytes), 1, 8).
+  // Heuristic path: clamp(ceil(latency*bw/patch_bytes), 1, 8).
   const CacheRun heur = run_grid_multiply(RmaConfig{}, opt, n, 53);
   for (index_t j = 0; j < n; ++j)
     for (index_t i = 0; i < n; ++i) ASSERT_EQ(heur.c(i, j), ref(i, j));
 
-  // Env override path.
-  ASSERT_EQ(setenv("SRUMMA_LOOKAHEAD", "3", 1), 0);
-  const CacheRun env = run_grid_multiply(RmaConfig{}, opt, n, 53);
-  unsetenv("SRUMMA_LOOKAHEAD");
-  for (index_t j = 0; j < n; ++j)
-    for (index_t i = 0; i < n; ++i) ASSERT_EQ(env.c(i, j), ref(i, j));
-
-  // Explicit option still wins over auto.
+  // Explicit option wins over auto.
   opt.lookahead = 2;
   const CacheRun expl = run_grid_multiply(RmaConfig{}, opt, n, 53);
   for (index_t j = 0; j < n; ++j)

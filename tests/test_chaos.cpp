@@ -13,6 +13,7 @@
 #include "core/srumma.hpp"
 #include "fault/fault_plane.hpp"
 #include "trace/report.hpp"
+#include "trace/tracer.hpp"
 #include "tests/helpers.hpp"
 
 namespace srumma {
@@ -32,6 +33,8 @@ void fill_ints(MatrixView v, std::uint64_t seed) {
 struct ChaosRun {
   Matrix c;
   TraceCounters trace;
+  // Traced runs only: every rank traced one TaskRearm per task_reissues.
+  bool rearms_traced = true;
 };
 
 // One multiply on the 4-domain x 2-ranks testing machine with a permanent
@@ -39,10 +42,11 @@ struct ChaosRun {
 // otherwise C starts zeroed.
 ChaosRun run_chaos_multiply(const RmaConfig& cfg, const SrummaOptions& opt,
                             index_t n, std::uint64_t fill_seed,
-                            std::uint64_t c_seed = 0) {
+                            std::uint64_t c_seed = 0, bool traced = false) {
   const MachineModel mm = MachineModel::testing(4, 2);
   const ProcGrid grid{4, 2};
   Team team(mm);
+  if (traced) team.enable_tracer(trace::TracerConfig{});
   RmaRuntime rma(team, cfg);
   Matrix a_global(n, n), b_global(n, n), c_global(n, n);
   fill_ints(a_global.view(), fill_seed);
@@ -64,6 +68,17 @@ ChaosRun run_chaos_multiply(const RmaConfig& cfg, const SrummaOptions& opt,
     c.gather_to(me, out.c.view());
   });
   out.trace = team.total_trace();
+  if (traced) {
+    for (int r = 0; r < team.size(); ++r) {
+      std::uint64_t rearms = 0;
+      for (const trace::TraceEvent& e : team.tracer_ptr()->events(r))
+        if (e.type == trace::EvType::Instant &&
+            e.phase == trace::Phase::TaskRearm)
+          ++rearms;
+      if (rearms != team.rank(r).trace().task_reissues)
+        out.rearms_traced = false;
+    }
+  }
   return out;
 }
 
@@ -218,6 +233,56 @@ TEST(Chaos, SurvivesDeathUnderTransientNoise) {
         ASSERT_EQ(run.c.view()(i, j), ref.view()(i, j))
             << (engine ? "engine" : "pipeline") << " C(" << i << "," << j
             << ")";
+  }
+}
+
+// Permanent death on top of retry exhaustion: with two attempts per op,
+// transfers keep running out of retries on every path — executor tasks,
+// steals, adopted replays, replica seeds and tile stores — and each is
+// re-armed in place.  (SurvivesDeathUnderTransientNoise's eight attempts
+// almost never reach the adopter's re-arm path.)
+TEST(Chaos, SurvivesDeathUnderRetryExhaustion) {
+  constexpr index_t n = 48;
+  constexpr std::uint64_t fill_seed = 909;
+  const Matrix ref = chaos_reference(n, fill_seed, 1.0, 0.0);
+  fault::FaultConfig f = kill_config(fault::KillPoint::Chain, 4321);
+  f.fail_rate = 0.3;
+  // The two buddy-replication gets (A and B; with beta == 0 no C mirror
+  // is fetched) come first and block in wait(), which has no re-arm:
+  // random faults start at each rank's third op.
+  f.first_op = 2;
+  RetryPolicy rp;
+  rp.max_attempts = 2;
+  for (const bool engine : {false, true}) {
+    for (const bool cache : {false, true}) {
+      const std::string label = std::string(engine ? "engine" : "pipeline") +
+                                (cache ? "/cache" : "/nocache");
+      RmaConfig cfg;
+      cfg.faults = f;
+      cfg.retry = rp;
+      cfg.cache = cache;
+      SrummaOptions opt;
+      opt.engine = engine ? EngineMode::On : EngineMode::Off;
+      opt.shm_flavor = ShmFlavor::Copy;  // every operand is fetched
+      const ChaosRun run = run_chaos_multiply(cfg, opt, n, fill_seed,
+                                              /*c_seed=*/0, /*traced=*/true);
+      const TraceCounters& t = run.trace;
+      for (index_t j = 0; j < n; ++j)
+        for (index_t i = 0; i < n; ++i)
+          ASSERT_EQ(run.c.view()(i, j), ref.view()(i, j))
+              << label << " C(" << i << "," << j << ")";
+      EXPECT_GT(t.tasks_adopted, 0u) << label;
+      EXPECT_GT(t.task_reissues, 0u) << label;
+      EXPECT_TRUE(run.rearms_traced) << label;
+      EXPECT_EQ(t.copy_tasks + t.direct_tasks, t.gemm_calls) << label;
+      if (engine) {
+        EXPECT_EQ(t.engine_tasks + t.tasks_stolen + t.tasks_adopted,
+                  t.gemm_calls)
+            << label;
+      } else {
+        EXPECT_EQ(t.engine_tasks + t.tasks_stolen, 0u) << label;
+      }
+    }
   }
 }
 

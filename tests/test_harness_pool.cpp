@@ -357,22 +357,6 @@ std::string run_error(Team& team) {
   return "";
 }
 
-TEST(HarnessEnv, RejectsUnknownHarnessMode) {
-  Team team(MachineModel::testing(1, 2));
-  for (const char* bad : {"thread", "Pooled", ""}) {
-    ScopedEnv env("SRUMMA_HARNESS", bad);
-    const std::string msg = run_error(team);
-    EXPECT_NE(msg.find("SRUMMA_HARNESS='" + std::string(bad) + "'"),
-              std::string::npos)
-        << msg;
-    EXPECT_NE(msg.find("pooled or threads"), std::string::npos) << msg;
-  }
-  for (const char* ok : {"pooled", "threads"}) {
-    ScopedEnv env("SRUMMA_HARNESS", ok);
-    EXPECT_EQ(run_error(team), "") << ok;
-  }
-}
-
 TEST(HarnessEnv, RejectsOutOfRangeWorkerCount) {
   Team team(MachineModel::testing(1, 2));
   team.set_execution(ExecMode::Pooled);

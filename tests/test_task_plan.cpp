@@ -588,7 +588,7 @@ TEST(TaskPlan, PlansAreByteStableAcrossASweep) {
                   (tr & 2) != 0 ? blas::Trans::Yes : blas::Trans::No;
               cfg.options.c_chunk = c_chunk;
               cfg.options.k_chunk = k_chunk;
-              cfg.options.lookahead = 2;  // SRUMMA_LOOKAHEAD must not matter
+              cfg.options.lookahead = 2;  // pinned, not the auto heuristic
               cfg.options.ordering = p;
               add_model(cfg);
             }

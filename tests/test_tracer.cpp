@@ -289,16 +289,21 @@ TEST(Tracer, EnvActivationWritesFileOnTeamDestruction) {
   std::remove(path.c_str());
 }
 
-TEST(Tracer, FaultRunEventsMatchCounters) {
-  // Deterministic fault injection: every recovery counter must have an
-  // exactly matching traced event stream, in-flight counters must return
-  // to zero, and the recovery-time identity must hold per rank.
+// Deterministic fault injection: every recovery counter must have an
+// exactly matching traced event stream, in-flight counters must return to
+// zero, and the recovery-time identity must hold per rank.  Runs both
+// executors; with a single attempt every injected failure exhausts its
+// retries, so operand re-arms are common.
+void expect_fault_events_match_counters(EngineMode engine, int max_attempts) {
+  const std::string label =
+      std::string(engine == EngineMode::On ? "engine" : "pipeline") +
+      " max_attempts " + std::to_string(max_attempts);
   fault::FaultConfig f;
   f.seed = 7;
   f.fail_rate = 0.15;
   f.delay_rate = 0.1;
   RetryPolicy rp;
-  rp.max_attempts = 12;
+  rp.max_attempts = max_attempts;
   rp.backoff_base = 1e-6;
   RmaConfig cfg;
   cfg.faults = f;
@@ -310,53 +315,65 @@ TEST(Tracer, FaultRunEventsMatchCounters) {
   SrummaOptions opt;
   opt.shm_flavor = ShmFlavor::Copy;  // every task goes through the RMA path
   opt.c_chunk = 32;
+  opt.engine = engine;
   run_phantom(team, rma, 128, opt);
 
   const Tracer& tr = *team.tracer_ptr();
-  std::uint64_t retries = 0, faults = 0, requeues = 0, timeouts = 0;
+  std::uint64_t retries = 0, faults = 0, rearms = 0, timeouts = 0;
   for (int r = 0; r < team.size(); ++r) {
-    ASSERT_EQ(tr.dropped(r), 0u) << "rank " << r;
+    ASSERT_EQ(tr.dropped(r), 0u) << label << " rank " << r;
     const std::vector<TraceEvent> evs = tr.events(r);
     const TraceCounters& tc = team.rank(r).trace();
 
-    EXPECT_EQ(instant_count(evs, Phase::Retry), tc.rma_retries) << "rank " << r;
+    EXPECT_EQ(instant_count(evs, Phase::Retry), tc.rma_retries)
+        << label << " rank " << r;
     EXPECT_EQ(instant_count(evs, Phase::Fault), tc.faults_injected)
-        << "rank " << r;
-    EXPECT_EQ(instant_count(evs, Phase::Requeue), tc.task_requeues)
-        << "rank " << r;
+        << label << " rank " << r;
+    EXPECT_EQ(instant_count(evs, Phase::TaskRearm), tc.task_reissues)
+        << label << " rank " << r;
     EXPECT_EQ(instant_count(evs, Phase::OpTimeout), tc.rma_op_timeouts)
-        << "rank " << r;
+        << label << " rank " << r;
     retries += tc.rma_retries;
     faults += tc.faults_injected;
-    requeues += tc.task_requeues;
+    rearms += tc.task_reissues;
     timeouts += tc.rma_op_timeouts;
 
     // Reconciliation within 1% (the acceptance bound; in practice exact).
     EXPECT_NEAR(span_total(evs, {Phase::Wait, Phase::RecoveryWait}),
                 tc.time_wait, 1e-12 + 0.01 * tc.time_wait)
-        << "rank " << r;
+        << label << " rank " << r;
     EXPECT_NEAR(
         span_total(evs, {Phase::RecoveryWait, Phase::Backoff, Phase::Redo}),
         tc.time_recovery, 1e-12 + 0.01 * tc.time_recovery)
-        << "rank " << r;
+        << label << " rank " << r;
     EXPECT_NEAR(span_total(evs, {Phase::Compute}), tc.time_compute,
                 1e-9 * (1.0 + tc.time_compute))
-        << "rank " << r;
+        << label << " rank " << r;
 
     // Every issued op was consumed: in-flight gauges land back on zero,
     // and the recovery gauge ends at the rank's recovery total.
     EXPECT_EQ(tr.counter_value(r, CounterId::InflightBytes), 0.0)
-        << "rank " << r;
+        << label << " rank " << r;
     EXPECT_EQ(tr.counter_value(r, CounterId::InflightOps), 0.0)
-        << "rank " << r;
+        << label << " rank " << r;
     if (tc.rma_retries > 0) {
       EXPECT_NEAR(tr.counter_value(r, CounterId::RecoverySeconds),
                   tc.time_recovery, 1e-12 + 0.01 * tc.time_recovery)
-          << "rank " << r;
+          << label << " rank " << r;
     }
   }
-  EXPECT_GT(faults, 0u) << "fault injection did not fire; weak test";
-  EXPECT_GT(retries, 0u);
+  EXPECT_GT(faults, 0u) << label << ": fault injection did not fire";
+  if (max_attempts > 1) {
+    EXPECT_GT(retries, 0u) << label;
+  } else {
+    EXPECT_GT(rearms, 0u) << label << ": nothing re-armed";
+  }
+}
+
+TEST(Tracer, FaultRunEventsMatchCounters) {
+  for (const EngineMode engine : {EngineMode::Off, EngineMode::On})
+    for (const int max_attempts : {12, 1})
+      expect_fault_events_match_counters(engine, max_attempts);
 }
 
 TEST(Tracer, CountersJsonIsByteStable) {
@@ -385,7 +402,6 @@ TEST(Tracer, CountersJsonIsByteStable) {
   t.rma_retries = 20;
   t.rma_op_timeouts = 21;
   t.rma_domain_dead = 22;
-  t.task_requeues = 23;
   t.task_reissues = 24;
   t.shm_fallbacks = 25;
   t.checksum_redos = 26;
@@ -412,7 +428,7 @@ TEST(Tracer, CountersJsonIsByteStable) {
       "\"sends\":12,\"recvs\":13,\"direct_tasks\":14,\"copy_tasks\":15,"
       "\"buffer_bytes_peak\":16,\"faults_injected\":17,"
       "\"faults_corrupted\":18,\"faults_delayed\":19,\"rma_retries\":20,"
-      "\"rma_op_timeouts\":21,\"rma_domain_dead\":22,\"task_requeues\":23,"
+      "\"rma_op_timeouts\":21,\"rma_domain_dead\":22,"
       "\"task_reissues\":24,\"shm_fallbacks\":25,\"checksum_redos\":26,"
       "\"time_recovery\":27.5,\"cache_hits\":28,\"cache_joins\":29,"
       "\"cache_misses\":30,\"cache_bypasses\":31,\"cache_evictions\":32,"

@@ -330,11 +330,11 @@ TEST(Env, FlagIsExactlyZeroOrOne) {
 }
 
 TEST(Env, IntegerIsBaseTenWithinItsRange) {
-  check_kind({"SRUMMA_LOOKAHEAD",
-              "an integer in [1, 64]",
-              {"", "1x", "0", "65", "-1", "+3", " 3", "3.0", "4k", "0x10"},
-              {{"1", "1"}, {"64", "64"}, {"08", "8"}}},
-             [] { return env::integer<int>("SRUMMA_LOOKAHEAD"); });
+  check_kind({"SRUMMA_HARNESS_THREADS",
+              "an integer in [1, 4096]",
+              {"", "1x", "0", "4097", "-1", "+3", " 3", "3.0", "4k", "0x10"},
+              {{"1", "1"}, {"4096", "4096"}, {"08", "8"}}},
+             [] { return env::integer<int>("SRUMMA_HARNESS_THREADS"); });
   // Seeds and op indices are unsigned 64-bit.
   check_kind({"SRUMMA_FAULT_SEED",
               "an integer in [0, 18446744073709551615]",
@@ -383,9 +383,9 @@ TEST(Env, TextIsNonEmpty) {
 }
 
 TEST(Env, UnsetReadsAsNotSet) {
-  ScopedEnv set("SRUMMA_LOOKAHEAD", "3");
-  unsetenv("SRUMMA_LOOKAHEAD");
-  EXPECT_FALSE(env::integer<int>("SRUMMA_LOOKAHEAD").has_value());
+  ScopedEnv set("SRUMMA_HARNESS_THREADS", "3");
+  unsetenv("SRUMMA_HARNESS_THREADS");
+  EXPECT_FALSE(env::integer<int>("SRUMMA_HARNESS_THREADS").has_value());
 }
 
 // Each probe misreading throws from the first call that reads it.
@@ -403,7 +403,6 @@ TEST(Env, MisreadingsThrowFromTheirEntryPoint) {
       {"SRUMMA_FAULT_FAIL_RATE", "0,002", Entry::TeamCtor},
       {"SRUMMA_CACHE_CAP", "64MiB", Entry::RmaCtor},
       {"SRUMMA_TRACE_CAP", "4k", Entry::TeamCtor},
-      {"SRUMMA_LOOKAHEAD", "auto", Entry::Run},
   };
   const MachineModel machine = MachineModel::testing(2, 1);
   for (const auto& c : cases) {
@@ -516,7 +515,7 @@ TEST(Env, ReadmeTableNamesEveryVariable) {
   std::multiset<std::string> listed;
   for (const env::Variable& v : env::kVariables) listed.insert(v.name);
   EXPECT_EQ(documented, listed);
-  EXPECT_EQ(listed.size(), 35u);
+  EXPECT_EQ(listed.size(), 33u);
 }
 
 }  // namespace
