@@ -4,11 +4,14 @@
 #   1b. an ASan/UBSan build of the library running the kernel-verification
 #       harness (test_gemm_kernels), the pooled fiber harness and its stack
 #       cache (test_harness_pool), the task-plan suite (test_task_plan),
-#       and the fault and chaos suites (test_fault_recovery, test_chaos),
-#       whose operand re-arms re-target live, shared operand buffers,
-#       under the sanitizers; then the dispatch guard (an AVX-512 host must
-#       auto-select the avx512 kernel) and the multiply suites pinned to the
-#       avx2 kernel, which auto-selection no longer picks on such hosts;
+#       the fault and chaos suites (test_fault_recovery, test_chaos),
+#       whose operand re-arms re-target live, shared operand buffers, and
+#       the one-sided suites (test_rma, test_dist, test_msg, test_ga),
+#       which drive the strided copy, the locked accumulate and the piece
+#       offsets of the generalized ops, under the sanitizers; then the
+#       dispatch guard (an AVX-512 host must auto-select the avx512
+#       kernel) and the multiply suites pinned to the avx2 kernel, which
+#       auto-selection no longer picks on such hosts;
 #   1c. the full suite again with the shadow-state RMA checker enabled
 #       (SRUMMA_RMA_CHECK=1) — any diagnostic fails the run;
 #   1d. the fault matrix (docs/FAULTS.md): the dedicated fault suites
@@ -82,16 +85,17 @@ cmake --build "$build" -j "$jobs"
 ctest --test-dir "$build" --output-on-failure -j "$jobs"
 
 echo
-echo "== tier 1b: kernels, fiber harness, task plans, fault re-arm under ASan/UBSan ($asan_build), dispatch =="
+echo "== tier 1b: kernels, fiber harness, task plans, fault re-arm, one-sided layer under ASan/UBSan ($asan_build), dispatch =="
 cmake -B "$asan_build" -S "$repo" \
   -DSRUMMA_SANITIZE=address,undefined \
   -DSRUMMA_BUILD_BENCH=OFF \
   -DSRUMMA_BUILD_EXAMPLES=OFF
 cmake --build "$asan_build" -j "$jobs" \
   --target test_gemm_kernels --target test_harness_pool --target test_task_plan \
-  --target test_fault_recovery --target test_chaos
+  --target test_fault_recovery --target test_chaos \
+  --target test_rma --target test_dist --target test_msg --target test_ga
 ctest --test-dir "$asan_build" --output-on-failure \
-  -R '^(test_gemm_kernels|test_harness_pool|test_task_plan|test_fault_recovery|test_chaos)$'
+  -R '^(test_gemm_kernels|test_harness_pool|test_task_plan|test_fault_recovery|test_chaos|test_rma|test_dist|test_msg|test_ga)$'
 # A silently failed -mavx512f probe would drop the kernel from the registry
 # and fall back to avx2 without any test failing; catch it here.
 if grep -qw avx512f /proc/cpuinfo 2> /dev/null; then

@@ -34,7 +34,7 @@ MultiplyResult summa_multiply(Rank& me, Comm& comm, DistMatrix& a,
   for (int i = 0; i < grid.p; ++i) col_group.push_back(grid.rank_of(i, pj));
 
   const std::vector<index_t> ks =
-      k_segment_bounds(a.col_dist(), b.row_dist(), opt.panel);
+      k_segment_bounds(a.layout().cols, b.layout().rows, opt.panel);
   index_t max_panel = 0;
   for (std::size_t s = 0; s + 1 < ks.size(); ++s)
     max_panel = std::max(max_panel, ks[s + 1] - ks[s]);
@@ -72,7 +72,7 @@ MultiplyResult summa_multiply(Rank& me, Comm& comm, DistMatrix& a,
     if (kw == 0) continue;
 
     // A panel: owned by one grid column; roots pack, then row broadcast.
-    const int pc = a.col_dist().owner(k0);
+    const int pc = a.layout().cols.owner(k0);
     const int a_root = grid.rank_of(pi, pc);
     if (me.id() == a_root) {
       if (!phantom && bm > 0) {
@@ -89,7 +89,7 @@ MultiplyResult summa_multiply(Rank& me, Comm& comm, DistMatrix& a,
     // B panel: owned by one grid row; roots pack, then column broadcast.
     // The panel buffer is packed with ld == kw so the broadcast payload is
     // contiguous even when this panel is narrower than the widest one.
-    const int pr = b.row_dist().owner(k0);
+    const int pr = b.layout().rows.owner(k0);
     const int b_root = grid.rank_of(pr, pj);
     MatrixView b_packed =
         phantom ? MatrixView{}

@@ -183,8 +183,8 @@ MultiplyResult srumma_multiply(Rank& me, DistMatrix& a, DistMatrix& b,
   // Auto-tuning (k_chunk, lookahead, buffer-budget shrink) lives in
   // tune_options so the static analyzer resolves the exact executor
   // configuration a run would use (src/analysis, docs/ANALYSIS.md).
-  const SrummaOptions tuned = tune_options(me.id(), me.machine(), layout_of(a),
-                                           layout_of(b), layout_of(c), opt);
+  const SrummaOptions tuned = tune_options(me.id(), me.machine(), a.layout(),
+                                           b.layout(), c.layout(), opt);
 
   const TaskPlan plan = build_task_plan(me, a, b, c, tuned);
   const int lookahead = opt.nonblocking ? tuned.lookahead : 0;
@@ -212,23 +212,7 @@ MultiplyResult srumma_multiply(Rank& me, DistMatrix& a, DistMatrix& b,
   std::optional<engine::RecoveryGuard> recovery;
   if (kill_active) {
     recovery.emplace(me);
-    // Split-phase mirror of all three matrices: all replica segments are
-    // allocated first (allocation is a collective with a barrier, which no
-    // in-flight get may cross), then the three block gets overlap on the
-    // wire and one publication barrier covers them all.  With beta == 0
-    // the C mirror carries no information (the post-beta snapshot is all
-    // zeros and adoption recomputes every element), so only the replica
-    // segment is allocated.
-    a.replicate_alloc(me);
-    b.replicate_alloc(me);
-    c.replicate_alloc(me);
-    RmaHandle ra = a.replicate_nb(me);
-    RmaHandle rb = b.replicate_nb(me);
-    RmaHandle rc = c.replicate_nb(me, /*mirror=*/tuned.beta != 0.0);
-    a.replicate_finish(me, ra);
-    b.replicate_finish(me, rb);
-    c.replicate_finish(me, rc);
-    me.barrier();
+    engine::replicate_operands(me, a, b, c, /*mirror_c=*/tuned.beta != 0.0);
     recovery->deposit(me, plan, tuned);
     fp->arm_kills();
   }

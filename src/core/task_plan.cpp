@@ -12,46 +12,6 @@
 
 namespace srumma {
 
-bool MatrixLayout::rect_in_domain(const MachineModel& mm, int rank, index_t i0,
-                                  index_t j0, index_t mi, index_t nj) const {
-  SRUMMA_REQUIRE(i0 >= 0 && j0 >= 0 && mi >= 0 && nj >= 0 && i0 + mi <= m &&
-                     j0 + nj <= n,
-                 "MatrixLayout: rectangle out of range");
-  if (mi == 0 || nj == 0) return true;
-  const int pi_lo = rows.owner(i0);
-  const int pi_hi = rows.owner(i0 + mi - 1);
-  const int pj_lo = cols.owner(j0);
-  const int pj_hi = cols.owner(j0 + nj - 1);
-  for (int pi = pi_lo; pi <= pi_hi; ++pi)
-    for (int pj = pj_lo; pj <= pj_hi; ++pj)
-      if (!mm.same_domain(rank, grid.rank_of(pi, pj))) return false;
-  return true;
-}
-
-std::optional<int> MatrixLayout::single_owner_in_domain(const MachineModel& mm,
-                                                        int rank, index_t i0,
-                                                        index_t j0, index_t mi,
-                                                        index_t nj) const {
-  SRUMMA_REQUIRE(i0 >= 0 && j0 >= 0 && mi >= 0 && nj >= 0 && i0 + mi <= m &&
-                     j0 + nj <= n,
-                 "MatrixLayout: rectangle out of range");
-  if (mi == 0 || nj == 0) return std::nullopt;
-  const int o = owner(i0, j0);
-  if (owner(i0 + mi - 1, j0 + nj - 1) != o) return std::nullopt;
-  if (!mm.same_domain(rank, o)) return std::nullopt;
-  return o;
-}
-
-MatrixLayout layout_of(const DistMatrix& m) {
-  MatrixLayout l;
-  l.m = m.rows();
-  l.n = m.cols();
-  l.grid = m.grid();
-  l.rows = m.row_dist();
-  l.cols = m.col_dist();
-  return l;
-}
-
 std::vector<index_t> k_segment_bounds(const BlockDist1D& a_axis,
                                       const BlockDist1D& b_axis,
                                       index_t k_chunk) {
@@ -100,9 +60,10 @@ std::vector<index_t> tile_bounds(index_t n, index_t chunk) {
   return bounds;
 }
 
-namespace {
-
-index_t auto_k_chunk_axes(const BlockDist1D& a_k, const BlockDist1D& b_k) {
+index_t auto_k_chunk(const MatrixLayout& a, const MatrixLayout& b,
+                     blas::Trans ta, blas::Trans tb) {
+  const BlockDist1D& a_k = ta == blas::Trans::Yes ? a.rows : a.cols;
+  const BlockDist1D& b_k = tb == blas::Trans::Yes ? b.cols : b.rows;
   SRUMMA_REQUIRE(a_k.total() == b_k.total(),
                  "auto_k_chunk: operand K axes disagree");
   const index_t k = a_k.total();
@@ -110,21 +71,6 @@ index_t auto_k_chunk_axes(const BlockDist1D& a_k, const BlockDist1D& b_k) {
   // boundaries; the finer of the two bounds the number of first-touch gets.
   const index_t k_owners = std::max(a_k.parts(), b_k.parts());
   return std::clamp<index_t>(k / (4 * k_owners), 64, 512);
-}
-
-}  // namespace
-
-index_t auto_k_chunk(const DistMatrix& a, const DistMatrix& b, blas::Trans ta,
-                     blas::Trans tb) {
-  return auto_k_chunk_axes(
-      ta == blas::Trans::Yes ? a.row_dist() : a.col_dist(),
-      tb == blas::Trans::Yes ? b.col_dist() : b.row_dist());
-}
-
-index_t auto_k_chunk(const MatrixLayout& a, const MatrixLayout& b,
-                     blas::Trans ta, blas::Trans tb) {
-  return auto_k_chunk_axes(ta == blas::Trans::Yes ? a.rows : a.cols,
-                           tb == blas::Trans::Yes ? b.cols : b.rows);
 }
 
 SrummaOptions tune_options(int rank, const MachineModel& mm,
@@ -183,11 +129,9 @@ SrummaOptions tune_options(int rank, const MachineModel& mm,
 TaskPlan build_task_plan(Rank& me, const DistMatrix& a, const DistMatrix& b,
                          const DistMatrix& c, const SrummaOptions& opt) {
   // Delegate to the metadata-only builder: DistMatrix's ownership and
-  // domain queries are pure functions of the layout and machine (its
-  // rect_in_domain asks RmaRuntime::same_domain, which delegates to the
-  // machine model), so this produces the identical plan.
-  return build_task_plan(me.id(), me.machine(), layout_of(a), layout_of(b),
-                         layout_of(c), opt);
+  // domain queries are its layout's, so this is the identical plan.
+  return build_task_plan(me.id(), me.machine(), a.layout(), b.layout(),
+                         c.layout(), opt);
 }
 
 TaskPlan build_task_plan(int rank, const MachineModel& mm,

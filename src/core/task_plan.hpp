@@ -14,7 +14,6 @@
 // first, diagonal-shift rotation of the remote run, A-reuse grouping via
 // the generation order.
 
-#include <optional>
 #include <vector>
 
 #include "core/options.hpp"
@@ -22,55 +21,6 @@
 #include "machine/machine.hpp"
 
 namespace srumma {
-
-/// Metadata-only mirror of a DistMatrix's distribution: dimensions, process
-/// grid and 1-D block maps, answering exactly the ownership and domain
-/// queries the plan builder asks a live matrix.  The static analyzer
-/// (src/analysis, srumma-analyze) builds plans from layouts alone — no
-/// allocation, no team, no virtual clock — and because the live overloads
-/// below delegate to the layout-based ones, the analyzed plan is the plan
-/// a run would execute, not a reimplementation that could drift.
-struct MatrixLayout {
-  index_t m = 0;  ///< stored rows
-  index_t n = 0;  ///< stored cols
-  ProcGrid grid;
-  BlockDist1D rows{0, 1};
-  BlockDist1D cols{0, 1};
-
-  MatrixLayout() = default;
-  MatrixLayout(index_t m_, index_t n_, ProcGrid g)
-      : m(m_), n(n_), grid(g), rows(m_, g.p), cols(n_, g.q) {}
-
-  [[nodiscard]] int owner(index_t i, index_t j) const {
-    return grid.rank_of(rows.owner(i), cols.owner(j));
-  }
-  [[nodiscard]] index_t block_row_start(int rank) const {
-    return rows.start(grid.coords_of(rank).first);
-  }
-  [[nodiscard]] index_t block_rows(int rank) const {
-    return rows.count(grid.coords_of(rank).first);
-  }
-  [[nodiscard]] index_t block_col_start(int rank) const {
-    return cols.start(grid.coords_of(rank).second);
-  }
-  [[nodiscard]] index_t block_cols(int rank) const {
-    return cols.count(grid.coords_of(rank).second);
-  }
-  /// Every owner block the rectangle touches lies in `rank`'s domain
-  /// (mirrors DistMatrix::rect_in_domain; empty rectangles are in-domain).
-  [[nodiscard]] bool rect_in_domain(const MachineModel& mm, int rank,
-                                    index_t i0, index_t j0, index_t mi,
-                                    index_t nj) const;
-  /// The rectangle lies within one owner block AND that owner is in
-  /// `rank`'s domain (mirrors DistMatrix::single_owner_in_domain — the
-  /// Direct-flavor reach-through eligibility test).
-  [[nodiscard]] std::optional<int> single_owner_in_domain(
-      const MachineModel& mm, int rank, index_t i0, index_t j0, index_t mi,
-      index_t nj) const;
-};
-
-/// The layout of a live matrix (for feeding the pure overloads below).
-[[nodiscard]] MatrixLayout layout_of(const DistMatrix& m);
 
 /// One block product assigned to this rank.
 struct Task {
@@ -120,8 +70,6 @@ struct TaskPlan {
 /// actual K-axis owner count of the stored operands (k_segment_bounds cuts
 /// there), *not* C's grid edge — on nonsquare grids and transposed
 /// operands the two differ and the grid edge mis-sizes the pipeline.
-[[nodiscard]] index_t auto_k_chunk(const DistMatrix& a, const DistMatrix& b,
-                                   blas::Trans ta, blas::Trans tb);
 [[nodiscard]] index_t auto_k_chunk(const MatrixLayout& a, const MatrixLayout& b,
                                    blas::Trans ta, blas::Trans tb);
 

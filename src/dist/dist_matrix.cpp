@@ -2,28 +2,55 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string>
 
 #include "fault/fault_plane.hpp"
 #include "util/rng.hpp"
 
 namespace srumma {
 
+void MatrixLayout::check_rect(index_t i0, index_t j0, index_t mi,
+                              index_t nj) const {
+  SRUMMA_REQUIRE(mi >= 0 && nj >= 0, "rectangle extent must be non-negative");
+  SRUMMA_REQUIRE(i0 >= 0 && j0 >= 0 && i0 + mi <= m && j0 + nj <= n,
+                 "rectangle exceeds matrix bounds");
+}
+
+bool MatrixLayout::rect_in_domain(const MachineModel& mm, int rank, index_t i0,
+                                  index_t j0, index_t mi, index_t nj) const {
+  check_rect(i0, j0, mi, nj);
+  if (mi == 0 || nj == 0) return true;
+  const int pi_lo = rows.owner(i0);
+  const int pi_hi = rows.owner(i0 + mi - 1);
+  const int pj_lo = cols.owner(j0);
+  const int pj_hi = cols.owner(j0 + nj - 1);
+  for (int pi = pi_lo; pi <= pi_hi; ++pi)
+    for (int pj = pj_lo; pj <= pj_hi; ++pj)
+      if (!mm.same_domain(rank, grid.rank_of(pi, pj))) return false;
+  return true;
+}
+
+std::optional<int> MatrixLayout::single_owner_in_domain(const MachineModel& mm,
+                                                        int rank, index_t i0,
+                                                        index_t j0, index_t mi,
+                                                        index_t nj) const {
+  check_rect(i0, j0, mi, nj);
+  if (mi == 0 || nj == 0) return std::nullopt;
+  const int o = owner(i0, j0);
+  if (owner(i0 + mi - 1, j0 + nj - 1) != o) return std::nullopt;
+  if (!mm.same_domain(rank, o)) return std::nullopt;
+  return o;
+}
+
 DistMatrix::DistMatrix(RmaRuntime& rma, Rank& me, index_t m, index_t n,
                        ProcGrid grid, bool phantom)
-    : rma_(&rma),
-      m_(m),
-      n_(n),
-      grid_(grid),
-      rows_(m, grid.p),
-      cols_(n, grid.q),
-      phantom_(phantom) {
+    : rma_(&rma), layout_(m, n, grid), phantom_(phantom) {
   SRUMMA_REQUIRE(grid.size() == rma.team().size(),
                  "DistMatrix: grid size must equal team size");
-  const auto [pi, pj] = grid_.coords_of(me.id());
   const std::size_t elems =
       phantom_ ? 0
-               : static_cast<std::size_t>(rows_.count(pi)) *
-                     static_cast<std::size_t>(cols_.count(pj));
+               : static_cast<std::size_t>(block_rows(me.id())) *
+                     static_cast<std::size_t>(block_cols(me.id()));
   region_ = rma.malloc_symmetric(me, elems);
 }
 
@@ -53,15 +80,6 @@ int DistMatrix::protectee_of(int rank) const {
   const int nd = mm.num_domains();
   const int off = fp != nullptr ? fp->buddy_offset() : 1;
   return ((rank / ds - off % nd + nd) % nd) * ds + rank % ds;
-}
-
-void DistMatrix::replicate(Rank& me) {
-  replicate_alloc(me);
-  RmaHandle h = replicate_nb(me);
-  replicate_finish(me, h);
-  // Publication barrier: nobody's kill hooks are armed until every replica
-  // is in place.
-  me.barrier();
 }
 
 void DistMatrix::replicate_alloc(Rank& me) {
@@ -98,21 +116,10 @@ RmaHandle DistMatrix::replicate_nb(Rank& me, bool mirror) {
   return {};
 }
 
-void DistMatrix::replicate_finish(Rank& me, RmaHandle& h) {
-  if (h.pending) rma_->wait(me, h);
-}
-
-index_t DistMatrix::block_row_start(int rank) const {
-  return rows_.start(grid_.coords_of(rank).first);
-}
-index_t DistMatrix::block_rows(int rank) const {
-  return rows_.count(grid_.coords_of(rank).first);
-}
-index_t DistMatrix::block_col_start(int rank) const {
-  return cols_.start(grid_.coords_of(rank).second);
-}
-index_t DistMatrix::block_cols(int rank) const {
-  return cols_.count(grid_.coords_of(rank).second);
+bool DistMatrix::replicate_finish(Rank& me, RmaHandle& h) {
+  // No kill is armed while replicating, so only a transient failure
+  // (RmaStatus::Error) leaves the replica incomplete.
+  return !h.pending || rma_->try_wait(me, h) != RmaStatus::Error;
 }
 
 MatrixView DistMatrix::local_view(Rank& me) {
@@ -122,57 +129,32 @@ MatrixView DistMatrix::local_view(Rank& me) {
   return MatrixView(region_.base(me.id()), lm, ln, std::max<index_t>(lm, 1));
 }
 
-void DistMatrix::check_rect(index_t i0, index_t j0, index_t mi,
-                            index_t nj) const {
-  SRUMMA_REQUIRE(mi >= 0 && nj >= 0, "rectangle extent must be non-negative");
-  SRUMMA_REQUIRE(i0 >= 0 && j0 >= 0 && i0 + mi <= m_ && j0 + nj <= n_,
-                 "rectangle exceeds matrix bounds");
-}
-
-std::optional<int> DistMatrix::single_owner_in_domain(Rank& me, index_t i0,
-                                                      index_t j0, index_t mi,
-                                                      index_t nj) const {
-  check_rect(i0, j0, mi, nj);
-  if (mi == 0 || nj == 0) return std::nullopt;
-  const int o = owner(i0, j0);
-  if (owner(i0 + mi - 1, j0 + nj - 1) != o) return std::nullopt;
-  if (!rma_->same_domain(me.id(), o)) return std::nullopt;
-  return o;
-}
-
 std::optional<ConstMatrixView> DistMatrix::direct_view(Rank& me, index_t i0,
                                                        index_t j0, index_t mi,
                                                        index_t nj) const {
-  check_rect(i0, j0, mi, nj);
-  if (phantom_ || mi == 0 || nj == 0) return std::nullopt;
-  const int o = owner(i0, j0);
-  // Whole rectangle within one owner block?
-  if (owner(i0 + mi - 1, j0 + nj - 1) != o) return std::nullopt;
-  if (!rma_->same_domain(me.id(), o)) return std::nullopt;
-  declare_direct_read(me, o, i0, j0, mi, nj);
-  const auto [pi, pj] = grid_.coords_of(o);
-  const index_t lm = rows_.count(pi);
-  const index_t li = i0 - rows_.start(pi);
-  const index_t lj = j0 - cols_.start(pj);
-  const double* base = region_.base(o);
-  return ConstMatrixView(base + li + lj * lm, mi, nj, lm);
+  const std::optional<int> o = single_owner_in_domain(me, i0, j0, mi, nj);
+  if (phantom_ || !o) return std::nullopt;
+  declare_direct_read(me, *o, i0, j0, mi, nj);
+  const index_t lm = block_rows(*o);
+  const double* base = region_.base(*o) + (i0 - block_row_start(*o)) +
+                       (j0 - block_col_start(*o)) * lm;
+  return ConstMatrixView(base, mi, nj, lm);
 }
 
 void DistMatrix::declare_direct_read(Rank& me, int owner, index_t i0,
                                      index_t j0, index_t mi, index_t nj,
                                      std::source_location site) const {
   if (rma_->checker() == nullptr || mi <= 0 || nj <= 0) return;
-  const auto [pi, pj] = grid_.coords_of(owner);
-  const index_t lm = std::max<index_t>(rows_.count(pi), 1);
-  const index_t li = i0 - rows_.start(pi);
-  const index_t lj = j0 - cols_.start(pj);
+  const index_t lm = std::max<index_t>(block_rows(owner), 1);
+  const index_t li = i0 - block_row_start(owner);
+  const index_t lj = j0 - block_col_start(owner);
   rma_->declare_direct_access(me, region_, owner, li + lj * lm, mi, nj, lm,
                               site);
 }
 
 std::uint64_t DistMatrix::remote_piece_bytes(Rank& me, index_t i0, index_t j0,
                                              index_t mi, index_t nj) {
-  check_rect(i0, j0, mi, nj);
+  layout_.check_rect(i0, j0, mi, nj);
   if (mi == 0 || nj == 0) return 0;
   std::uint64_t bytes = 0;
   for_each_piece(i0, j0, mi, nj, [&](const Piece& p) {
@@ -201,20 +183,6 @@ void DistMatrix::declare_shared_read(Rank& me, index_t i0, index_t j0,
   });
 }
 
-bool DistMatrix::rect_in_domain(Rank& me, index_t i0, index_t j0, index_t mi,
-                                index_t nj) const {
-  check_rect(i0, j0, mi, nj);
-  if (mi == 0 || nj == 0) return true;
-  const int pi_lo = rows_.owner(i0);
-  const int pi_hi = rows_.owner(i0 + mi - 1);
-  const int pj_lo = cols_.owner(j0);
-  const int pj_hi = cols_.owner(j0 + nj - 1);
-  for (int pi = pi_lo; pi <= pi_hi; ++pi)
-    for (int pj = pj_lo; pj <= pj_hi; ++pj)
-      if (!rma_->same_domain(me.id(), grid_.rank_of(pi, pj))) return false;
-  return true;
-}
-
 template <typename Fn>
 void DistMatrix::for_each_piece(index_t i0, index_t j0, index_t mi, index_t nj,
                                 Fn&& fn) {
@@ -222,26 +190,28 @@ void DistMatrix::for_each_piece(index_t i0, index_t j0, index_t mi, index_t nj,
   const bool failover =
       replica_allocated_ && fp != nullptr && fp->any_domain_dead();
   const MachineModel& mm = rma_->team().machine();
-  const int pi_lo = rows_.owner(i0);
-  const int pi_hi = rows_.owner(i0 + mi - 1);
-  const int pj_lo = cols_.owner(j0);
-  const int pj_hi = cols_.owner(j0 + nj - 1);
+  const BlockDist1D& rows = layout_.rows;
+  const BlockDist1D& cols = layout_.cols;
+  const int pi_lo = rows.owner(i0);
+  const int pi_hi = rows.owner(i0 + mi - 1);
+  const int pj_lo = cols.owner(j0);
+  const int pj_hi = cols.owner(j0 + nj - 1);
   for (int pj = pj_lo; pj <= pj_hi; ++pj) {
-    const index_t cs = cols_.start(pj);
+    const index_t cs = cols.start(pj);
     const index_t jlo = std::max(j0, cs);
-    const index_t jhi = std::min(j0 + nj, cs + cols_.count(pj));
+    const index_t jhi = std::min(j0 + nj, cs + cols.count(pj));
     for (int pi = pi_lo; pi <= pi_hi; ++pi) {
-      const index_t rs = rows_.start(pi);
+      const index_t rs = rows.start(pi);
       const index_t ilo = std::max(i0, rs);
-      const index_t ihi = std::min(i0 + mi, rs + rows_.count(pi));
+      const index_t ihi = std::min(i0 + mi, rs + rows.count(pi));
       Piece p;
-      const int true_owner = grid_.rank_of(pi, pj);
+      const int true_owner = layout_.grid.rank_of(pi, pj);
       p.owner = true_owner;
       p.gi = ilo;
       p.gj = jlo;
       p.rows = ihi - ilo;
       p.cols = jhi - jlo;
-      p.owner_ld = std::max<index_t>(rows_.count(pi), 1);
+      p.owner_ld = std::max<index_t>(rows.count(pi), 1);
       p.seg_lo = (ilo - rs) + (jlo - cs) * p.owner_ld;
       if (failover && fp->domain_dead(mm.domain_of(true_owner))) {
         // The owner's domain fail-stopped: serve the piece from the buddy
@@ -261,68 +231,56 @@ void DistMatrix::for_each_piece(index_t i0, index_t j0, index_t mi, index_t nj,
   }
 }
 
-PatchHandle DistMatrix::fetch_nb(Rank& me, index_t i0, index_t j0, index_t mi,
-                                 index_t nj, MatrixView dst) {
-  check_rect(i0, j0, mi, nj);
+template <typename View, typename Issue>
+PatchHandle DistMatrix::for_each_piece_nb(const char* what, index_t i0,
+                                          index_t j0, index_t mi, index_t nj,
+                                          View v, Issue&& issue) {
+  layout_.check_rect(i0, j0, mi, nj);
   if (!phantom_) {
-    SRUMMA_REQUIRE(dst.rows() == mi && dst.cols() == nj,
-                   "fetch_nb: destination view must match patch extent");
+    SRUMMA_REQUIRE(v.rows() == mi && v.cols() == nj,
+                   std::string(what) + ": view must match patch extent");
   }
   PatchHandle ph;
   if (mi == 0 || nj == 0) return ph;
   ph.pending = true;
   for_each_piece(i0, j0, mi, nj, [&](const Piece& p) {
-    double* d = phantom_ ? nullptr
-                         : dst.data() + (p.gi - i0) + (p.gj - j0) * dst.ld();
-    ph.pieces.push_back(rma_->nbget2d(
-        me, p.owner, p.owner_ptr, p.owner_ld, p.rows, p.cols, d,
-        phantom_ ? std::max<index_t>(p.rows, 1) : dst.ld()));
+    ph.pieces.push_back(
+        phantom_ ? issue(p, nullptr, std::max<index_t>(p.rows, 1))
+                 : issue(p, v.data() + (p.gi - i0) + (p.gj - j0) * v.ld(),
+                         v.ld()));
   });
   return ph;
 }
 
+PatchHandle DistMatrix::fetch_nb(Rank& me, index_t i0, index_t j0, index_t mi,
+                                 index_t nj, MatrixView dst) {
+  return for_each_piece_nb(
+      "fetch_nb", i0, j0, mi, nj, dst,
+      [&](const Piece& p, double* d, index_t ld) {
+        return rma_->nbget2d(me, p.owner, p.owner_ptr, p.owner_ld, p.rows,
+                             p.cols, d, ld);
+      });
+}
+
 PatchHandle DistMatrix::store_nb(Rank& me, index_t i0, index_t j0, index_t mi,
                                  index_t nj, ConstMatrixView src) {
-  check_rect(i0, j0, mi, nj);
-  if (!phantom_) {
-    SRUMMA_REQUIRE(src.rows() == mi && src.cols() == nj,
-                   "store_nb: source view must match patch extent");
-  }
-  PatchHandle ph;
-  if (mi == 0 || nj == 0) return ph;
-  ph.pending = true;
-  for_each_piece(i0, j0, mi, nj, [&](const Piece& p) {
-    const double* s =
-        phantom_ ? nullptr
-                 : src.data() + (p.gi - i0) + (p.gj - j0) * src.ld();
-    ph.pieces.push_back(rma_->nbput2d(
-        me, p.owner, s, phantom_ ? std::max<index_t>(p.rows, 1) : src.ld(),
-        p.rows, p.cols, p.owner_ptr, p.owner_ld));
-  });
-  return ph;
+  return for_each_piece_nb(
+      "store_nb", i0, j0, mi, nj, src,
+      [&](const Piece& p, const double* s, index_t ld) {
+        return rma_->nbput2d(me, p.owner, s, ld, p.rows, p.cols, p.owner_ptr,
+                             p.owner_ld);
+      });
 }
 
 PatchHandle DistMatrix::accumulate_nb(Rank& me, index_t i0, index_t j0,
                                       index_t mi, index_t nj, double alpha,
                                       ConstMatrixView src) {
-  check_rect(i0, j0, mi, nj);
-  if (!phantom_) {
-    SRUMMA_REQUIRE(src.rows() == mi && src.cols() == nj,
-                   "accumulate_nb: source view must match patch extent");
-  }
-  PatchHandle ph;
-  if (mi == 0 || nj == 0) return ph;
-  ph.pending = true;
-  for_each_piece(i0, j0, mi, nj, [&](const Piece& p) {
-    const double* s =
-        phantom_ ? nullptr
-                 : src.data() + (p.gi - i0) + (p.gj - j0) * src.ld();
-    ph.pieces.push_back(rma_->nbacc2d(
-        me, p.owner, alpha, s,
-        phantom_ ? std::max<index_t>(p.rows, 1) : src.ld(), p.rows, p.cols,
-        p.owner_ptr, p.owner_ld));
-  });
-  return ph;
+  return for_each_piece_nb(
+      "accumulate_nb", i0, j0, mi, nj, src,
+      [&](const Piece& p, const double* s, index_t ld) {
+        return rma_->nbacc2d(me, p.owner, alpha, s, ld, p.rows, p.cols,
+                             p.owner_ptr, p.owner_ld);
+      });
 }
 
 void DistMatrix::wait(Rank& me, PatchHandle& h) {
@@ -346,7 +304,7 @@ bool DistMatrix::try_wait(Rank& me, PatchHandle& h) {
 
 bool DistMatrix::verify_fetched(Rank& me, index_t i0, index_t j0, index_t mi,
                                 index_t nj, ConstMatrixView dst) {
-  check_rect(i0, j0, mi, nj);
+  layout_.check_rect(i0, j0, mi, nj);
   if (phantom_ || mi == 0 || nj == 0) return true;
   SRUMMA_REQUIRE(dst.rows() == mi && dst.cols() == nj,
                  "verify_fetched: view must match patch extent");
@@ -375,7 +333,7 @@ void DistMatrix::fill_coords_local(Rank& me) {
 
 void DistMatrix::scatter_from(Rank& me, ConstMatrixView global) {
   SRUMMA_REQUIRE(!phantom_, "scatter: phantom matrix has no storage");
-  SRUMMA_REQUIRE(global.rows() == m_ && global.cols() == n_,
+  SRUMMA_REQUIRE(global.rows() == rows() && global.cols() == cols(),
                  "scatter: global view dimension mismatch");
   MatrixView mine = local_view(me);
   copy(global.block(block_row_start(me.id()), block_col_start(me.id()),
@@ -385,7 +343,7 @@ void DistMatrix::scatter_from(Rank& me, ConstMatrixView global) {
 
 void DistMatrix::gather_to(Rank& me, MatrixView global) {
   SRUMMA_REQUIRE(!phantom_, "gather: phantom matrix has no storage");
-  SRUMMA_REQUIRE(global.rows() == m_ && global.cols() == n_,
+  SRUMMA_REQUIRE(global.rows() == rows() && global.cols() == cols(),
                  "gather: global view dimension mismatch");
   me.barrier();
   fault::FaultPlane* fp = rma_->team().faults();

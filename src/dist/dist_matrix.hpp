@@ -16,7 +16,8 @@
 //                         its A_ik / B_kj panels).
 //
 // A DistMatrix is a per-rank value object describing one global array;
-// every rank constructs it collectively with identical metadata.
+// every rank constructs it collectively with identical metadata (its
+// MatrixLayout).
 //
 // Phantom mode allocates no data and moves no bytes but charges full
 // communication costs — the model-only benches run N=16000-class problems
@@ -26,6 +27,7 @@
 #include <vector>
 
 #include "dist/grid.hpp"
+#include "machine/machine.hpp"
 #include "rma/rma.hpp"
 #include "runtime/team.hpp"
 #include "util/matrix.hpp"
@@ -45,6 +47,56 @@ struct PatchHandle {
   }
 };
 
+/// A distributed matrix's metadata: dimensions, process grid and 1-D block
+/// maps, with the ownership and domain queries.  DistMatrix keeps its
+/// distribution in one of these, and the static analyzer (src/analysis,
+/// srumma-analyze) builds plans from layouts alone — no allocation, no
+/// team, no virtual clock — so the analyzed plan is the plan a run would
+/// execute.
+struct MatrixLayout {
+  index_t m = 0;  ///< stored rows
+  index_t n = 0;  ///< stored cols
+  ProcGrid grid;
+  BlockDist1D rows;
+  BlockDist1D cols;
+
+  MatrixLayout() = default;
+  MatrixLayout(index_t m_, index_t n_, ProcGrid g)
+      : m(m_), n(n_), grid(g), rows(m_, g.p), cols(n_, g.q) {}
+
+  /// Owning rank of global element (i, j).
+  [[nodiscard]] int owner(index_t i, index_t j) const {
+    return grid.rank_of(rows.owner(i), cols.owner(j));
+  }
+  /// Global row/column range owned by `rank`.
+  [[nodiscard]] index_t block_row_start(int rank) const {
+    return rows.start(grid.coords_of(rank).first);
+  }
+  [[nodiscard]] index_t block_rows(int rank) const {
+    return rows.count(grid.coords_of(rank).first);
+  }
+  [[nodiscard]] index_t block_col_start(int rank) const {
+    return cols.start(grid.coords_of(rank).second);
+  }
+  [[nodiscard]] index_t block_cols(int rank) const {
+    return cols.count(grid.coords_of(rank).second);
+  }
+  /// Throws srumma::Error unless [i0, i0+mi) x [j0, j0+nj) lies within the
+  /// matrix.
+  void check_rect(index_t i0, index_t j0, index_t mi, index_t nj) const;
+  /// Every owner block the rectangle touches lies in `rank`'s domain
+  /// (empty rectangles are in-domain).
+  [[nodiscard]] bool rect_in_domain(const MachineModel& mm, int rank,
+                                    index_t i0, index_t j0, index_t mi,
+                                    index_t nj) const;
+  /// The owner rank when the rectangle lies in exactly one block whose
+  /// owner shares `rank`'s memory domain — i.e. direct load/store access is
+  /// possible; nullopt otherwise.
+  [[nodiscard]] std::optional<int> single_owner_in_domain(
+      const MachineModel& mm, int rank, index_t i0, index_t j0, index_t mi,
+      index_t nj) const;
+};
+
 class DistMatrix {
  public:
   /// Collective constructor: every rank of the team must call with the same
@@ -56,23 +108,28 @@ class DistMatrix {
   /// otherwise reclaimed when the RmaRuntime is destroyed.
   void destroy(Rank& me);
 
-  [[nodiscard]] index_t rows() const noexcept { return m_; }
-  [[nodiscard]] index_t cols() const noexcept { return n_; }
-  [[nodiscard]] const ProcGrid& grid() const noexcept { return grid_; }
-  [[nodiscard]] const BlockDist1D& row_dist() const noexcept { return rows_; }
-  [[nodiscard]] const BlockDist1D& col_dist() const noexcept { return cols_; }
+  [[nodiscard]] const MatrixLayout& layout() const noexcept { return layout_; }
+  [[nodiscard]] index_t rows() const noexcept { return layout_.m; }
+  [[nodiscard]] index_t cols() const noexcept { return layout_.n; }
+  [[nodiscard]] const ProcGrid& grid() const noexcept { return layout_.grid; }
   [[nodiscard]] bool phantom() const noexcept { return phantom_; }
 
-  /// Owning rank of global element (i, j).
+  /// The layout's ownership queries (see MatrixLayout).
   [[nodiscard]] int owner(index_t i, index_t j) const {
-    return grid_.rank_of(rows_.owner(i), cols_.owner(j));
+    return layout_.owner(i, j);
   }
-
-  /// Global row/column range owned by `rank`.
-  [[nodiscard]] index_t block_row_start(int rank) const;
-  [[nodiscard]] index_t block_rows(int rank) const;
-  [[nodiscard]] index_t block_col_start(int rank) const;
-  [[nodiscard]] index_t block_cols(int rank) const;
+  [[nodiscard]] index_t block_row_start(int rank) const {
+    return layout_.block_row_start(rank);
+  }
+  [[nodiscard]] index_t block_rows(int rank) const {
+    return layout_.block_rows(rank);
+  }
+  [[nodiscard]] index_t block_col_start(int rank) const {
+    return layout_.block_col_start(rank);
+  }
+  [[nodiscard]] index_t block_cols(int rank) const {
+    return layout_.block_cols(rank);
+  }
 
   /// Mutable view of the calling rank's local block (not phantom).
   [[nodiscard]] MatrixView local_view(Rank& me);
@@ -97,7 +154,17 @@ class DistMatrix {
 
   /// True when every owner of the rectangle is in my shared-memory domain.
   [[nodiscard]] bool rect_in_domain(Rank& me, index_t i0, index_t j0,
-                                    index_t mi, index_t nj) const;
+                                    index_t mi, index_t nj) const {
+    return layout_.rect_in_domain(me.machine(), me.id(), i0, j0, mi, nj);
+  }
+
+  /// MatrixLayout::single_owner_in_domain for `me`.  Works for phantom
+  /// matrices too (used to *model* direct access when no data exists).
+  [[nodiscard]] std::optional<int> single_owner_in_domain(
+      Rank& me, index_t i0, index_t j0, index_t mi, index_t nj) const {
+    return layout_.single_owner_in_domain(me.machine(), me.id(), i0, j0, mi,
+                                          nj);
+  }
 
   /// The backing SymmetricRegion's allocation seq: lockstep-identical
   /// across ranks and never reused, so it is a process-wide unique matrix
@@ -120,21 +187,6 @@ class DistMatrix {
   void declare_shared_read(
       Rank& me, index_t i0, index_t j0, index_t mi, index_t nj,
       std::source_location site = std::source_location::current());
-
-  /// The owner rank when the rectangle lies in exactly one block whose
-  /// owner shares my memory domain — i.e. direct load/store access is
-  /// possible; nullopt otherwise.  Works for phantom matrices too (used to
-  /// *model* direct access when no data exists).
-  [[nodiscard]] std::optional<int> single_owner_in_domain(Rank& me, index_t i0,
-                                                          index_t j0,
-                                                          index_t mi,
-                                                          index_t nj) const;
-
-  /// Owner rank of the rectangle's upper-left element (used by the
-  /// diagonal-shift ordering to classify a task's primary source).
-  [[nodiscard]] int rect_primary_owner(index_t i0, index_t j0) const {
-    return owner(i0, j0);
-  }
 
   /// Nonblocking generalized get of [i0, i0+mi) x [j0, j0+nj) into dst.
   /// dst must be mi x nj (ignored for phantom matrices; pass an empty view).
@@ -185,44 +237,37 @@ class DistMatrix {
   /// modeled as unreachable).
   void gather_to(Rank& me, MatrixView global);
 
-  /// Collective buddy replication (docs/FAULTS.md §7): every rank mirrors
-  /// the block of its protectee — the rank with the same domain-local index
-  /// in the domain buddy_offset places "before" its own — into a replica
-  /// segment, so the panels of a domain that later fail-stops remain
-  /// fetchable.  Requires a fault plane with a kill configured (the buddy
-  /// offset comes from it); called by srumma_multiply before kill hooks are
-  /// armed, so a domain can never die before its panels are mirrored.
-  /// Refreshes the replica contents on every call (C changes between
-  /// multiplies); allocates the replica region on first use.  Acts as a
-  /// barrier.
-  void replicate(Rank& me);
-
-  /// Split-phase replication, three sub-phases the caller sequences:
-  /// replicate_alloc (collective, barriers — first use only), replicate_nb
-  /// (issues the mirror get), replicate_finish (waits it).  Callers
-  /// mirroring several matrices MUST alloc all of them before issuing any
-  /// get: allocation is a collective with a barrier, and a nonblocking get
-  /// crossing a barrier has undefined completion (the RMA checker flags
-  /// it).  They then overlap the wires and pay ONE publication barrier
-  /// after the last finish instead of one per matrix — the caller owns
-  /// that barrier.  `mirror = false` skips the content get while still
-  /// requiring the allocated segment (so post-death stores/gathers have
-  /// somewhere to redirect) — srumma_multiply uses this for C when
+  /// Buddy replication (docs/FAULTS.md §7): every rank mirrors the block
+  /// of its protectee — the rank with the same domain-local index in the
+  /// domain buddy_offset places "before" its own — into a replica segment,
+  /// so the panels of a domain that later fail-stops remain fetchable.
+  /// Requires a fault plane with a kill configured (the buddy offset comes
+  /// from it); srumma_multiply runs it before kill hooks are armed, so a
+  /// domain can never die before its panels are mirrored.  Three
+  /// sub-phases the caller sequences: replicate_alloc (collective,
+  /// barriers — first use only), replicate_nb (issues the mirror get,
+  /// refreshing the replica: C changes between multiplies) and
+  /// replicate_finish (waits it).  Callers mirroring several matrices MUST
+  /// alloc all of them before issuing any get: allocation is a collective
+  /// with a barrier, and a nonblocking get crossing a barrier has undefined
+  /// completion (the RMA checker flags it).  They then overlap the wires
+  /// and pay ONE publication barrier after the last finish — the caller
+  /// owns that barrier.  `mirror = false` skips the content get while
+  /// still requiring the allocated segment (so post-death stores/gathers
+  /// have somewhere to redirect) — srumma_multiply uses this for C when
   /// beta == 0: the post-beta snapshot is identically zero and recovery
   /// overwrites every element it reads back, so the bytes would be dead
   /// weight on the wire.
   void replicate_alloc(Rank& me);
   RmaHandle replicate_nb(Rank& me, bool mirror = true);
-  void replicate_finish(Rank& me, RmaHandle& h);
-
-  /// Whether replicate() has run (redirect to replicas is possible).
-  [[nodiscard]] bool replicated() const noexcept { return replica_allocated_; }
+  /// False when the mirror get exhausted its RMA retries, leaving the
+  /// replica incomplete: the caller re-issues replicate_nb and finishes
+  /// again.
+  [[nodiscard]] bool replicate_finish(Rank& me, RmaHandle& h);
 
   [[nodiscard]] RmaRuntime& rma() noexcept { return *rma_; }
 
  private:
-  void check_rect(index_t i0, index_t j0, index_t mi, index_t nj) const;
-
   /// One owner-block intersection of a global rectangle.  When the true
   /// owner's domain has been declared dead (and the matrix is replicated),
   /// the piece is REDIRECTED: `owner`/`owner_ptr` point at the buddy
@@ -240,6 +285,13 @@ class DistMatrix {
   };
   template <typename Fn>
   void for_each_piece(index_t i0, index_t j0, index_t mi, index_t nj, Fn&& fn);
+  /// The walk of the three generalized ops: check the rectangle and the
+  /// caller's view `v`, then return one handle per piece from
+  /// `issue(piece, buffer, ld)`, where buffer is the piece's place in `v`
+  /// (nullptr for a phantom matrix).
+  template <typename View, typename Issue>
+  PatchHandle for_each_piece_nb(const char* what, index_t i0, index_t j0,
+                                index_t mi, index_t nj, View v, Issue&& issue);
 
   /// Buddy mapping (docs/FAULTS.md §7): same domain-local index, domain
   /// shifted by the fault plane's buddy_offset.
@@ -247,13 +299,9 @@ class DistMatrix {
   [[nodiscard]] int protectee_of(int rank) const;   ///< whom `rank` protects
 
   RmaRuntime* rma_ = nullptr;
-  index_t m_ = 0;
-  index_t n_ = 0;
-  ProcGrid grid_;
-  BlockDist1D rows_;
-  BlockDist1D cols_;
+  MatrixLayout layout_;
   SymmetricRegion region_;
-  SymmetricRegion replica_;  ///< buddy replica storage (empty until replicate)
+  SymmetricRegion replica_;  ///< buddy replica storage (empty until alloc)
   bool replica_allocated_ = false;
   bool phantom_ = false;
 };

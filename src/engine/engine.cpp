@@ -184,7 +184,7 @@ double fetch_estimate(Rank& me, DistMatrix& mat, index_t i0, index_t j0,
       static_cast<double>(mat.remote_piece_bytes(me, i0, j0, mi, nj));
   double t = mm.rma_issue_overhead;
   if (remote > 0.0) {
-    src_node = mm.node_of(mat.rect_primary_owner(i0, j0));
+    src_node = mm.node_of(mat.owner(i0, j0));
     double wire = remote / mm.net_bw;
     if (!mat.rma().zero_copy()) wire += remote / mm.host_copy_bw;
     if (fp != nullptr) wire *= fp->link_delay(src_node, me.node());

@@ -89,7 +89,8 @@ void finish_cache(Rank& me, DistMatrix& mat, OperandState& st, bool fetched,
 /// Cap on re-arm rounds: a transfer that keeps failing after its RMA
 /// retries means a broken configuration, not bad luck.  The executors
 /// share one budget of 4 x tasks + 16 per multiply; a recovery adopter
-/// gives each task, seed and store its own 16.
+/// gives each task, seed and store its own 16, and srumma_multiply's
+/// buddy-replication gets share 16.
 struct ReissueBudget {
   std::size_t cap;
   const char* exhausted;  ///< the error message once `cap` is spent

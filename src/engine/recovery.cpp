@@ -1,6 +1,7 @@
 #include "engine/recovery.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <map>
 #include <mutex>
@@ -62,6 +63,37 @@ RecoveryGuard::RecoveryGuard(Rank& me) : team_(&me.team()) {
 RecoveryGuard::~RecoveryGuard() {
   std::lock_guard<std::mutex> lk(registry_mu());
   if (--ses_->users == 0) registry().erase(team_);
+}
+
+void replicate_operands(Rank& me, DistMatrix& a, DistMatrix& b, DistMatrix& c,
+                        bool mirror_c) {
+  // Split-phase mirror of all three matrices: all replica segments are
+  // allocated first (allocation is a collective with a barrier, which no
+  // in-flight get may cross), then the three block gets overlap on the
+  // wire and one publication barrier covers them all.  With beta == 0
+  // the C mirror carries no information (the post-beta snapshot is all
+  // zeros and adoption recomputes every element), so only the replica
+  // segment is allocated.
+  a.replicate_alloc(me);
+  b.replicate_alloc(me);
+  c.replicate_alloc(me);
+  const std::array<DistMatrix*, 3> mats{&a, &b, &c};
+  const std::array<bool, 3> mirror{true, true, mirror_c};
+  std::array<RmaHandle, 3> gets;
+  for (std::size_t m = 0; m < 3; ++m)
+    gets[m] = mats[m]->replicate_nb(me, mirror[m]);
+  // No kill is armed yet, so a mirror get that exhausts its RMA retries
+  // failed transiently: re-issue it in place, one re-arm round each
+  // (TaskRearm arg = 0, 1, 2 for A, B, C).
+  ReissueBudget budget{
+      16, "srumma: buddy replication get keeps failing after RMA retries"};
+  for (std::size_t m = 0; m < 3; ++m) {
+    while (!mats[m]->replicate_finish(me, gets[m])) {
+      budget.charge(me, m);
+      gets[m] = mats[m]->replicate_nb(me, mirror[m]);
+    }
+  }
+  me.barrier();
 }
 
 void RecoveryGuard::deposit(Rank& me, const TaskPlan& plan,

@@ -37,6 +37,13 @@
 
 namespace srumma::engine {
 
+/// Buddy replication of a kill-configured multiply's operands (docs/
+/// FAULTS.md §7), run before the kill hooks are armed: mirrors A and B,
+/// and C when `mirror_c` (otherwise C's replica segment is only
+/// allocated), then one publication barrier.  Collective.
+void replicate_operands(Rank& me, DistMatrix& a, DistMatrix& b, DistMatrix& c,
+                        bool mirror_c);
+
 class RecoveryGuard {
  public:
   explicit RecoveryGuard(Rank& me);

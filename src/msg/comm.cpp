@@ -382,72 +382,4 @@ void Comm::bcast(Rank& me, const std::vector<int>& group, int root,
   }
 }
 
-void Comm::reduce_sum(Rank& me, const std::vector<int>& group, int root,
-                      double* buf, std::size_t elems) {
-  const int n = static_cast<int>(group.size());
-  SRUMMA_REQUIRE(n >= 1, "reduce: empty group");
-  const int my_idx = static_cast<int>(group_index(group, me.id()));
-  if (n == 1) return;
-  const int root_idx = static_cast<int>(group_index(group, root));
-  const int vrank = (my_idx - root_idx + n) % n;
-  auto abs_rank = [&](int v) {
-    return group[static_cast<std::size_t>((v + root_idx) % n)];
-  };
-
-  std::vector<double> tmp;
-  if (buf != nullptr) tmp.resize(elems);
-  int mask = 1;
-  while (mask < n) {
-    if ((vrank & mask) == 0) {
-      const int src_v = vrank | mask;
-      if (src_v < n) {
-        recv(me, abs_rank(src_v), kCollectiveTag,
-             buf != nullptr ? tmp.data() : nullptr, elems);
-        if (buf != nullptr)
-          for (std::size_t i = 0; i < elems; ++i) buf[i] += tmp[i];
-      }
-    } else {
-      send(me, abs_rank(vrank - mask), kCollectiveTag, buf, elems);
-      break;
-    }
-    mask <<= 1;
-  }
-}
-
-void Comm::allreduce_max(Rank& me, const std::vector<int>& group, double* buf,
-                         std::size_t elems) {
-  const int n = static_cast<int>(group.size());
-  SRUMMA_REQUIRE(n >= 1, "allreduce: empty group");
-  const int my_idx = static_cast<int>(group_index(group, me.id()));
-  if (n == 1) return;
-  const int vrank = my_idx;  // root is group[0]
-
-  std::vector<double> tmp;
-  if (buf != nullptr) tmp.resize(elems);
-  int mask = 1;
-  while (mask < n) {
-    if ((vrank & mask) == 0) {
-      const int src_v = vrank | mask;
-      if (src_v < n) {
-        recv(me, group[static_cast<std::size_t>(src_v)], kCollectiveTag,
-             buf != nullptr ? tmp.data() : nullptr, elems);
-        if (buf != nullptr)
-          for (std::size_t i = 0; i < elems; ++i)
-            buf[i] = std::max(buf[i], tmp[i]);
-      }
-    } else {
-      send(me, group[static_cast<std::size_t>(vrank - mask)], kCollectiveTag,
-           buf, elems);
-      break;
-    }
-    mask <<= 1;
-  }
-  bcast(me, group, group[0], buf, elems);
-}
-
-void Comm::barrier(Rank& me, const std::vector<int>& group) {
-  double token = 0.0;
-  allreduce_max(me, group, &token, 1);
-}
-
 }  // namespace srumma

@@ -96,14 +96,6 @@ class Comm {
   /// Every rank in `group` must call with identical arguments (except buf).
   void bcast(Rank& me, const std::vector<int>& group, int root, double* buf,
              std::size_t elems);
-  /// Element-wise sum reduction to `root`.
-  void reduce_sum(Rank& me, const std::vector<int>& group, int root,
-                  double* buf, std::size_t elems);
-  /// Max-allreduce (reduce to group[0], then broadcast).
-  void allreduce_max(Rank& me, const std::vector<int>& group, double* buf,
-                     std::size_t elems);
-  /// Tree barrier with message-passing costs.
-  void barrier(Rank& me, const std::vector<int>& group);
 
  private:
   struct PostedRecv {

@@ -50,18 +50,6 @@ RmaRuntime::RmaRuntime(Team& team, RmaConfig cfg)
 
 RmaRuntime::~RmaRuntime() { team_.remove_abort_cv(alloc_cv_id_); }
 
-void RmaRuntime::validate2d(const char* op, int owner, index_t ld_src,
-                            index_t rows, index_t cols, index_t ld_dst) const {
-  SRUMMA_REQUIRE(rows >= 0 && cols >= 0,
-                 std::string(op) + ": negative patch extent");
-  SRUMMA_REQUIRE(ld_src >= rows && ld_src >= 1,
-                 std::string(op) + ": source leading dimension < rows");
-  SRUMMA_REQUIRE(ld_dst >= rows && ld_dst >= 1,
-                 std::string(op) + ": destination leading dimension < rows");
-  SRUMMA_REQUIRE(owner >= 0 && owner < team_.size(),
-                 std::string(op) + ": owner rank out of range");
-}
-
 void RmaRuntime::declare_direct_access(Rank& me, const SymmetricRegion& region,
                                        int owner, index_t offset_elems,
                                        index_t rows, index_t cols, index_t ld,
@@ -138,8 +126,6 @@ void RmaRuntime::free_symmetric(Rank& me, const SymmetricRegion& region) {
 RmaHandle RmaRuntime::transfer(Rank& me, int owner, std::size_t bytes,
                                bool is_get) {
   const MachineModel& mm = team_.machine();
-  SRUMMA_REQUIRE(owner >= 0 && owner < team_.size(),
-                 "rma transfer: owner rank out of range");
   RmaHandle h;
   h.pending = true;
   h.issued = true;
@@ -169,9 +155,9 @@ RmaHandle RmaRuntime::transfer(Rank& me, int owner, std::size_t bytes,
         tr->instant(me.id(), trace::Phase::Fault, t0);
     }
     if (fd.delay > 1.0) me.trace().faults_delayed += 1;
-    // faults_corrupted is counted where the corruption is applied: the nb*
-    // entry points (accumulates are exempt — a corrupted read-modify-write
-    // could not be redone, so the corrupt channel skips Acc ops).
+    // faults_corrupted is counted where the corruption is applied, in
+    // issue() (accumulates are exempt — a corrupted read-modify-write could
+    // not be redone, so the corrupt channel skips Acc ops).
 
     // Permanent fail-stop: any transfer targeting a killed domain fails —
     // the payload never arrives.  Forced AFTER the random draw above so the
@@ -226,17 +212,6 @@ RmaHandle RmaRuntime::transfer(Rank& me, int owner, std::size_t bytes,
   return h;
 }
 
-void RmaRuntime::copy2d(const double* src, index_t ld_src, index_t rows,
-                        index_t cols, double* dst, index_t ld_dst) {
-  if (src == nullptr || dst == nullptr) return;  // phantom transfer
-  SRUMMA_REQUIRE(ld_src >= rows && ld_dst >= rows,
-                 "copy2d: leading dimensions too small");
-  for (index_t j = 0; j < cols; ++j) {
-    std::memcpy(dst + j * ld_dst, src + j * ld_src,
-                static_cast<std::size_t>(rows) * sizeof(double));
-  }
-}
-
 namespace {
 
 /// Deterministic per-op salt for payload corruption: virtual issue times
@@ -247,21 +222,11 @@ std::uint64_t corrupt_salt(int rank, int owner, double issue_vt) {
          std::bit_cast<std::uint64_t>(issue_vt);
 }
 
-/// Payload size of a replayable op — the amount the in-flight counter
-/// tracks from issue (nb*) to consumption (wait_impl).
+/// Payload size of an op — the amount the in-flight counter tracks from
+/// issue to consumption (wait_impl).
 std::uint64_t op_bytes(const ReplayOp& op) {
-  switch (op.kind) {
-    case ReplayOp::Kind::Get:
-      return static_cast<std::uint64_t>(op.elems) * sizeof(double);
-    case ReplayOp::Kind::Get2d:
-    case ReplayOp::Kind::Put2d:
-    case ReplayOp::Kind::Acc2d:
-      return static_cast<std::uint64_t>(op.rows) *
-             static_cast<std::uint64_t>(op.cols) * sizeof(double);
-    case ReplayOp::Kind::None:
-      break;
-  }
-  return 0;
+  return static_cast<std::uint64_t>(op.rows) *
+         static_cast<std::uint64_t>(op.cols) * sizeof(double);
 }
 
 /// Trace one issued one-sided op: an async in-flight span [issue,
@@ -279,186 +244,128 @@ void trace_issue(trace::Tracer* tr, int rank, trace::Phase ph,
 
 }  // namespace
 
-RmaHandle RmaRuntime::nbget(Rank& me, int owner, const double* src,
-                            double* dst, std::size_t elems,
+RmaHandle RmaRuntime::issue(Rank& me, const ReplayOp& op,
                             std::source_location site) {
-  RmaHandle h = transfer(me, owner, elems * sizeof(double), /*is_get=*/true);
-  h.op.kind = ReplayOp::Kind::Get;
-  h.op.owner = owner;
-  h.op.src = src;
-  h.op.dst = dst;
-  h.op.elems = elems;
-  if (checker_) {
-    const auto n = static_cast<index_t>(elems);
-    h.check_id = checker_->on_issue(me.id(), check::OpKind::Get, owner, src,
-                                    shape(n, 1, n), dst, shape(n, 1, n), site);
-  }
-  if (!h.failed && src != nullptr && dst != nullptr && elems > 0) {
-    std::memcpy(dst, src, elems * sizeof(double));
-    if (h.corrupted) {
-      const auto n = static_cast<index_t>(elems);
-      fault::FaultPlane::corrupt_payload(
-          dst, n, n, 1, corrupt_salt(me.id(), owner, h.issue_vt));
-      me.trace().faults_corrupted += 1;
-    }
-  }
-  me.trace().gets += 1;
-  trace_issue(team_.tracer_ptr(), me.id(), trace::Phase::Get, h);
-  return h;
-}
-
-RmaHandle RmaRuntime::nbget2d(Rank& me, int owner, const double* src,
-                              index_t ld_src, index_t rows, index_t cols,
-                              double* dst, index_t ld_dst,
-                              std::source_location site) {
-  validate2d("nbget2d", owner, ld_src, rows, cols, ld_dst);
-  const std::size_t bytes =
-      static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols) *
-      sizeof(double);
-  RmaHandle h = transfer(me, owner, bytes, /*is_get=*/true);
-  h.op.kind = ReplayOp::Kind::Get2d;
-  h.op.owner = owner;
-  h.op.src = src;
-  h.op.ld_src = ld_src;
-  h.op.rows = rows;
-  h.op.cols = cols;
-  h.op.dst = dst;
-  h.op.ld_dst = ld_dst;
-  if (checker_) {
-    h.check_id = checker_->on_issue(me.id(), check::OpKind::Get, owner, src,
-                                    shape(rows, cols, ld_src), dst,
-                                    shape(rows, cols, ld_dst), site);
-  }
-  if (!h.failed) {
-    copy2d(src, ld_src, rows, cols, dst, ld_dst);
-    if (h.corrupted && src != nullptr && dst != nullptr && rows > 0 &&
-        cols > 0) {
-      fault::FaultPlane::corrupt_payload(
-          dst, ld_dst, rows, cols, corrupt_salt(me.id(), owner, h.issue_vt));
-      me.trace().faults_corrupted += 1;
-    }
-  }
-  me.trace().gets += 1;
-  trace_issue(team_.tracer_ptr(), me.id(), trace::Phase::Get, h);
-  return h;
-}
-
-RmaHandle RmaRuntime::nbput2d(Rank& me, int owner, const double* src,
-                              index_t ld_src, index_t rows, index_t cols,
-                              double* dst, index_t ld_dst,
-                              std::source_location site) {
-  validate2d("nbput2d", owner, ld_src, rows, cols, ld_dst);
-  const std::size_t bytes =
-      static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols) *
-      sizeof(double);
-  RmaHandle h = transfer(me, owner, bytes, /*is_get=*/false);
-  h.op.kind = ReplayOp::Kind::Put2d;
-  h.op.owner = owner;
-  h.op.src = src;
-  h.op.ld_src = ld_src;
-  h.op.rows = rows;
-  h.op.cols = cols;
-  h.op.dst = dst;
-  h.op.ld_dst = ld_dst;
-  if (checker_) {
-    h.check_id = checker_->on_issue(me.id(), check::OpKind::Put, owner, dst,
-                                    shape(rows, cols, ld_dst), src,
-                                    shape(rows, cols, ld_src), site);
-  }
-  if (!h.failed) {
-    copy2d(src, ld_src, rows, cols, dst, ld_dst);
-    if (h.corrupted && src != nullptr && dst != nullptr && rows > 0 &&
-        cols > 0) {
-      fault::FaultPlane::corrupt_payload(
-          dst, ld_dst, rows, cols, corrupt_salt(me.id(), owner, h.issue_vt));
-      me.trace().faults_corrupted += 1;
-    }
-  }
-  me.trace().puts += 1;
-  trace_issue(team_.tracer_ptr(), me.id(), trace::Phase::Put, h);
-  return h;
-}
-
-RmaHandle RmaRuntime::nbacc2d(Rank& me, int owner, double alpha,
-                              const double* src, index_t ld_src, index_t rows,
-                              index_t cols, double* dst, index_t ld_dst,
-                              std::source_location site) {
-  validate2d("nbacc2d", owner, ld_src, rows, cols, ld_dst);
-  const std::size_t bytes =
-      static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols) *
-      sizeof(double);
-  RmaHandle h = transfer(me, owner, bytes, /*is_get=*/false);
+  using Kind = ReplayOp::Kind;
+  const bool get = op.kind == Kind::Get2d;
+  const bool acc = op.kind == Kind::Acc2d;
+  const char* name = get ? "nbget2d" : acc ? "nbacc2d" : "nbput2d";
+  SRUMMA_REQUIRE(op.rows >= 0 && op.cols >= 0,
+                 std::string(name) + ": negative patch extent");
+  SRUMMA_REQUIRE(op.ld_src >= op.rows && op.ld_src >= 1,
+                 std::string(name) + ": source leading dimension < rows");
+  SRUMMA_REQUIRE(op.ld_dst >= op.rows && op.ld_dst >= 1,
+                 std::string(name) + ": destination leading dimension < rows");
+  SRUMMA_REQUIRE(op.owner >= 0 && op.owner < team_.size(),
+                 std::string(name) + ": owner rank out of range");
+  const std::uint64_t bytes = op_bytes(op);
+  RmaHandle h = transfer(me, op.owner, bytes, get);
+  h.op = op;
   // Accumulates are exempt from the corruption channel: the read-modify-
   // write could not be redone after a detected corruption (it is not
   // idempotent), so only fail/delay apply.  The same non-idempotence exempts
   // a late-but-successful accumulate from the op-timeout re-issue in
   // wait_impl — only a *failed* attempt (no add performed, see below) is
   // ever replayed.
-  h.corrupted = false;
-  h.op.kind = ReplayOp::Kind::Acc2d;
-  h.op.owner = owner;
-  h.op.alpha = alpha;
-  h.op.src = src;
-  h.op.ld_src = ld_src;
-  h.op.rows = rows;
-  h.op.cols = cols;
-  h.op.dst = dst;
-  h.op.ld_dst = ld_dst;
+  if (acc) h.corrupted = false;
   if (checker_) {
-    h.check_id = checker_->on_issue(me.id(), check::OpKind::Acc, owner, dst,
-                                    shape(rows, cols, ld_dst), src,
-                                    shape(rows, cols, ld_src), site);
+    // The remote side is the owner's segment: a get's source, a put's or
+    // accumulate's destination.
+    const check::Footprint src_shape = shape(op.rows, op.cols, op.ld_src);
+    const check::Footprint dst_shape = shape(op.rows, op.cols, op.ld_dst);
+    h.check_id =
+        get ? checker_->on_issue(me.id(), check::OpKind::Get, op.owner, op.src,
+                                 src_shape, op.dst, dst_shape, site)
+            : checker_->on_issue(me.id(),
+                                 acc ? check::OpKind::Acc : check::OpKind::Put,
+                                 op.owner, op.dst, dst_shape, op.src,
+                                 src_shape, site);
   }
-  if (bytes > 0 && !h.failed) {
+  const bool data = op.src != nullptr && op.dst != nullptr && op.rows > 0 &&
+                    op.cols > 0;  // false for phantom and empty ops
+  if (!h.failed && acc) {
     // The read-modify-write always runs on the owner's host CPU, even on
     // zero-copy networks: charge the add to the owner (remote) or to the
     // origin (same domain — the origin CPU performs it).  A failed attempt
     // never reaches the owner, so it performs (and charges) no add.
     const MachineModel& mm = team_.machine();
-    const double add_time =
-        static_cast<double>(bytes) / mm.host_copy_bw;
-    if (mm.same_domain(me.id(), owner)) {
-      me.clock().advance(add_time);
-    } else {
-      team_.rank(owner).clock().add_steal(add_time);
-      h.completion += add_time;
+    if (bytes > 0) {
+      const double add_time = static_cast<double>(bytes) / mm.host_copy_bw;
+      if (mm.same_domain(me.id(), op.owner)) {
+        me.clock().advance(add_time);
+      } else {
+        team_.rank(op.owner).clock().add_steal(add_time);
+        h.completion += add_time;
+      }
+    }
+    if (data) {
+      std::lock_guard<std::mutex> lock(acc_mu_);
+      for (index_t j = 0; j < op.cols; ++j)
+        for (index_t i = 0; i < op.rows; ++i)
+          op.dst[i + j * op.ld_dst] += op.alpha * op.src[i + j * op.ld_src];
+    }
+  } else if (!h.failed && data) {
+    for (index_t j = 0; j < op.cols; ++j)
+      std::memcpy(op.dst + j * op.ld_dst, op.src + j * op.ld_src,
+                  static_cast<std::size_t>(op.rows) * sizeof(double));
+    if (h.corrupted) {
+      fault::FaultPlane::corrupt_payload(
+          op.dst, op.ld_dst, op.rows, op.cols,
+          corrupt_salt(me.id(), op.owner, h.issue_vt));
+      me.trace().faults_corrupted += 1;
     }
   }
-  if (!h.failed && src != nullptr && dst != nullptr && rows > 0 && cols > 0) {
-    SRUMMA_REQUIRE(ld_src >= rows && ld_dst >= rows,
-                   "nbacc2d: leading dimensions too small");
-    std::lock_guard<std::mutex> lock(acc_mu_);
-    for (index_t j = 0; j < cols; ++j)
-      for (index_t i = 0; i < rows; ++i)
-        dst[i + j * ld_dst] += alpha * src[i + j * ld_src];
-  }
-  me.trace().puts += 1;
-  trace_issue(team_.tracer_ptr(), me.id(), trace::Phase::Acc, h);
+  if (get)
+    me.trace().gets += 1;
+  else
+    me.trace().puts += 1;
+  trace_issue(team_.tracer_ptr(), me.id(),
+              get   ? trace::Phase::Get
+              : acc ? trace::Phase::Acc
+                    : trace::Phase::Put,
+              h);
   return h;
 }
 
-RmaHandle RmaRuntime::reissue(Rank& me, const ReplayOp& op,
-                              std::source_location site) {
-  switch (op.kind) {
-    case ReplayOp::Kind::Get:
-      return nbget(me, op.owner, op.src, op.dst, op.elems, site);
-    case ReplayOp::Kind::Get2d:
-      return nbget2d(me, op.owner, op.src, op.ld_src, op.rows, op.cols,
-                     op.dst, op.ld_dst, site);
-    case ReplayOp::Kind::Put2d:
-      return nbput2d(me, op.owner, op.src, op.ld_src, op.rows, op.cols,
-                     op.dst, op.ld_dst, site);
-    case ReplayOp::Kind::Acc2d:
-      return nbacc2d(me, op.owner, op.alpha, op.src, op.ld_src, op.rows,
-                     op.cols, op.dst, op.ld_dst, site);
-    case ReplayOp::Kind::None:
-      break;
-  }
-  throw Error("rma retry: handle carries no replayable operation");
+RmaHandle RmaRuntime::nbget(Rank& me, int owner, const double* src,
+                            double* dst, std::size_t elems,
+                            std::source_location site) {
+  const auto n = static_cast<index_t>(elems);
+  const index_t ld = std::max<index_t>(n, 1);
+  return nbget2d(me, owner, src, ld, n, 1, dst, ld, site);
 }
 
-RmaStatus RmaRuntime::wait_impl(Rank& me, RmaHandle& h, double timeout,
-                                bool throw_on_error,
+RmaHandle RmaRuntime::nbget2d(Rank& me, int owner, const double* src,
+                              index_t ld_src, index_t rows, index_t cols,
+                              double* dst, index_t ld_dst,
+                              std::source_location site) {
+  return issue(me,
+               {ReplayOp::Kind::Get2d, owner, 0.0, src, ld_src, rows, cols,
+                dst, ld_dst},
+               site);
+}
+
+RmaHandle RmaRuntime::nbput2d(Rank& me, int owner, const double* src,
+                              index_t ld_src, index_t rows, index_t cols,
+                              double* dst, index_t ld_dst,
+                              std::source_location site) {
+  return issue(me,
+               {ReplayOp::Kind::Put2d, owner, 0.0, src, ld_src, rows, cols,
+                dst, ld_dst},
+               site);
+}
+
+RmaHandle RmaRuntime::nbacc2d(Rank& me, int owner, double alpha,
+                              const double* src, index_t ld_src, index_t rows,
+                              index_t cols, double* dst, index_t ld_dst,
+                              std::source_location site) {
+  return issue(me,
+               {ReplayOp::Kind::Acc2d, owner, alpha, src, ld_src, rows, cols,
+                dst, ld_dst},
+               site);
+}
+
+RmaStatus RmaRuntime::wait_impl(Rank& me, RmaHandle& h, bool throw_on_error,
                                 std::source_location site) {
   SRUMMA_REQUIRE(h.issued, "wait: handle was never issued");
   if (!h.pending) {
@@ -467,136 +374,93 @@ RmaStatus RmaRuntime::wait_impl(Rank& me, RmaHandle& h, double timeout,
     if (checker_) checker_->on_wait(me.id(), h.check_id, site);
     return h.status;
   }
-  const double deadline = timeout >= 0.0 ? me.clock().now() + timeout : -1.0;
   for (;;) {
     if (team_.aborted()) throw Error("team aborted while waiting on rma op");
-    if (!h.retry_parked) {
-      if (deadline >= 0.0 && h.completion > deadline) {
-        // Caller deadline expires before this attempt completes: park the
-        // clock exactly at the deadline and leave the handle pending (no
-        // checker on_wait — the op has not been consumed).
-        const double now = me.clock().now();
-        if (deadline > now) {
-          me.trace().time_wait += deadline - now;
-          me.clock().sync_to(deadline);
-          if (trace::Tracer* tr = team_.tracer_ptr())
-            tr->span(me.id(), trace::Phase::Wait, now, deadline);
-        }
-        return RmaStatus::Timeout;
-      }
-      if (checker_) checker_->on_wait(me.id(), h.check_id, site);
-      const double before = me.clock().now();
-      double waited = 0.0;
-      if (h.completion > before) {
-        waited = h.completion - before;
-        me.trace().time_wait += waited;
-        me.clock().sync_to(h.completion);
-      }
-      h.pending = false;
+    if (checker_) checker_->on_wait(me.id(), h.check_id, site);
+    const double before = me.clock().now();
+    double waited = 0.0;
+    if (h.completion > before) {
+      waited = h.completion - before;
+      me.trace().time_wait += waited;
+      me.clock().sync_to(h.completion);
+    }
+    h.pending = false;
 
-      bool attempt_failed = h.failed;
-      if (!attempt_failed && retry_.op_timeout > 0.0 &&
-          h.completion - h.issue_vt > retry_.op_timeout) {
-        // The attempt completed, but only after blowing its per-op deadline
-        // (e.g. an injected straggler): a real initiator would have
-        // abandoned and re-issued it, so treat it as failed.  Accumulates
-        // are exempt: their read-modify-write was already applied at the
-        // owner when the op was issued, so re-issuing a late-but-successful
-        // accumulate would apply alpha*src a second time.  The overrun is
-        // still counted; the attempt is kept.
-        me.trace().rma_op_timeouts += 1;
-        if (trace::Tracer* tr = team_.tracer_ptr())
-          tr->instant(me.id(), trace::Phase::OpTimeout, me.clock().now());
-        if (h.op.kind != ReplayOp::Kind::Acc2d) attempt_failed = true;
-      }
-      // The attempt is consumed either way: retire its in-flight counters
-      // (a re-issue below re-increments them) and classify the wait span
-      // now that success/failure is known — Wait feeds time_wait only,
-      // RecoveryWait feeds both time_wait and time_recovery, which is what
-      // keeps span totals reconcilable with the counters.
-      if (trace::Tracer* tr = team_.tracer_ptr()) {
-        const double now = me.clock().now();
-        tr->counter_add(me.id(), trace::CounterId::InflightBytes, now,
-                        -static_cast<double>(op_bytes(h.op)));
-        tr->counter_add(me.id(), trace::CounterId::InflightOps, now, -1.0);
-        if (waited > 0.0)
-          tr->span(me.id(),
-                   attempt_failed ? trace::Phase::RecoveryWait
-                                  : trace::Phase::Wait,
-                   before, h.completion);
-      }
-      if (!attempt_failed) {
-        h.status = RmaStatus::Ok;
-        return RmaStatus::Ok;
-      }
-      me.trace().time_recovery += waited;  // time sunk into the failed attempt
+    bool attempt_failed = h.failed;
+    if (!attempt_failed && retry_.op_timeout > 0.0 &&
+        h.completion - h.issue_vt > retry_.op_timeout) {
+      // The attempt completed, but only after blowing its per-op deadline
+      // (e.g. an injected straggler): a real initiator would have
+      // abandoned and re-issued it, so treat it as failed.  Accumulates
+      // are exempt: their read-modify-write was already applied at the
+      // owner when the op was issued, so re-issuing a late-but-successful
+      // accumulate would apply alpha*src a second time.  The overrun is
+      // still counted; the attempt is kept.
+      me.trace().rma_op_timeouts += 1;
       if (trace::Tracer* tr = team_.tracer_ptr())
-        tr->counter_set(me.id(), trace::CounterId::RecoverySeconds,
-                        me.clock().now(), me.trace().time_recovery);
+        tr->instant(me.id(), trace::Phase::OpTimeout, me.clock().now());
+      if (h.op.kind != ReplayOp::Kind::Acc2d) attempt_failed = true;
+    }
+    // The attempt is consumed either way: retire its in-flight counters
+    // (a re-issue below re-increments them) and classify the wait span
+    // now that success/failure is known — Wait feeds time_wait only,
+    // RecoveryWait feeds both time_wait and time_recovery, which is what
+    // keeps span totals reconcilable with the counters.
+    if (trace::Tracer* tr = team_.tracer_ptr()) {
+      const double now = me.clock().now();
+      tr->counter_add(me.id(), trace::CounterId::InflightBytes, now,
+                      -static_cast<double>(op_bytes(h.op)));
+      tr->counter_add(me.id(), trace::CounterId::InflightOps, now, -1.0);
+      if (waited > 0.0)
+        tr->span(me.id(),
+                 attempt_failed ? trace::Phase::RecoveryWait
+                                : trace::Phase::Wait,
+                 before, h.completion);
+    }
+    if (!attempt_failed) {
+      h.status = RmaStatus::Ok;
+      return RmaStatus::Ok;
+    }
+    me.trace().time_recovery += waited;  // time sunk into the failed attempt
+    if (trace::Tracer* tr = team_.tracer_ptr())
+      tr->counter_set(me.id(), trace::CounterId::RecoverySeconds,
+                      me.clock().now(), me.trace().time_recovery);
 
-      // Failure detector (docs/FAULTS.md §7): a failed attempt against a
-      // killed domain is permanent, not transient.  Once the retry budget
-      // is exhausted the initiator PROMOTES the failure — it declares the
-      // domain dead team-wide and completes the handle with the terminal
-      // DomainDead status (no throw: recovery-aware callers refetch from
-      // the buddy replicas).  Later waits on ops already in flight against
-      // a declared-dead domain fast-fail on their first failed attempt
-      // instead of burning the full budget.
-      if (fault::FaultPlane* fp = team_.faults();
-          fp != nullptr && h.op.kind != ReplayOp::Kind::None) {
-        const int target_domain = team_.machine().domain_of(h.op.owner);
-        if (fp->domain_killed(target_domain) &&
-            (fp->domain_dead(target_domain) ||
-             h.attempts >= retry_.max_attempts)) {
-          fp->declare_dead(target_domain);
-          h.status = RmaStatus::DomainDead;
-          me.trace().rma_domain_dead += 1;
-          if (trace::Tracer* tr = team_.tracer_ptr())
-            tr->instant(me.id(), trace::Phase::DomainDead, me.clock().now(),
-                        static_cast<std::uint64_t>(target_domain));
-          return RmaStatus::DomainDead;
-        }
+    // Failure detector (docs/FAULTS.md §7): a failed attempt against a
+    // killed domain is permanent, not transient.  Once the retry budget
+    // is exhausted the initiator PROMOTES the failure — it declares the
+    // domain dead team-wide and completes the handle with the terminal
+    // DomainDead status (no throw: recovery-aware callers refetch from
+    // the buddy replicas).  Later waits on ops already in flight against
+    // a declared-dead domain fast-fail on their first failed attempt
+    // instead of burning the full budget.
+    if (fault::FaultPlane* fp = team_.faults(); fp != nullptr) {
+      const int target_domain = team_.machine().domain_of(h.op.owner);
+      if (fp->domain_killed(target_domain) &&
+          (fp->domain_dead(target_domain) ||
+           h.attempts >= retry_.max_attempts)) {
+        fp->declare_dead(target_domain);
+        h.status = RmaStatus::DomainDead;
+        me.trace().rma_domain_dead += 1;
+        if (trace::Tracer* tr = team_.tracer_ptr())
+          tr->instant(me.id(), trace::Phase::DomainDead, me.clock().now(),
+                      static_cast<std::uint64_t>(target_domain));
+        return RmaStatus::DomainDead;
       }
+    }
 
-      if (h.attempts >= retry_.max_attempts) {
-        h.status = RmaStatus::Error;
-        if (throw_on_error)
-          throw Error("rma wait: transfer still failing after " +
-                      std::to_string(h.attempts) + " attempts");
-        return RmaStatus::Error;
-      }
-
-      // The failed attempt is now consumed (checker on_wait done, clock at
-      // its completion); all that remains is backoff + re-issue.  Park the
-      // handle in that state so a deadline expiring below can hand it back
-      // still pending, and a later wait resumes exactly here.
-      h.retry_parked = true;
-      h.pending = true;
+    if (h.attempts >= retry_.max_attempts) {
+      h.status = RmaStatus::Error;
+      if (throw_on_error)
+        throw Error("rma wait: transfer still failing after " +
+                    std::to_string(h.attempts) + " attempts");
+      return RmaStatus::Error;
     }
 
     // Exponential backoff before the re-issue, charged to virtual time.
     const double backoff =
         retry_.backoff_base *
         std::pow(retry_.backoff_mult, static_cast<double>(h.attempts - 1));
-    if (deadline >= 0.0 &&
-        me.clock().now() + backoff + team_.machine().rma_issue_overhead >
-            deadline) {
-      // Backoff plus the issue overhead alone would push the clock past the
-      // caller's deadline: park exactly at the deadline without booking any
-      // NIC/memory bandwidth for a fresh attempt.  The handle stays pending
-      // and retry-parked; a later wait/try_wait/wait_for resumes the retry.
-      const double now = me.clock().now();
-      if (deadline > now) {
-        me.trace().time_recovery += deadline - now;
-        me.clock().sync_to(deadline);
-        if (trace::Tracer* tr = team_.tracer_ptr()) {
-          tr->span(me.id(), trace::Phase::Backoff, now, deadline);
-          tr->counter_set(me.id(), trace::CounterId::RecoverySeconds, deadline,
-                          me.trace().time_recovery);
-        }
-      }
-      return RmaStatus::Timeout;
-    }
     if (backoff > 0.0) {
       const double b0 = me.clock().now();
       me.clock().advance(backoff);
@@ -612,29 +476,21 @@ RmaStatus RmaRuntime::wait_impl(Rank& me, RmaHandle& h, double timeout,
       tr->instant(me.id(), trace::Phase::Retry, me.clock().now(),
                   static_cast<std::uint64_t>(h.attempts));
 
-    // Re-issue through the public nb* path: a fresh checker-visible op with
-    // its own check_id (never a double wait) and a fresh fault draw.
+    // Re-issue: a fresh checker-visible op with its own check_id (never a
+    // double wait) and a fresh fault draw.
     const int attempts = h.attempts;
-    const ReplayOp op = h.op;
-    RmaHandle fresh = reissue(me, op, site);
-    fresh.attempts = attempts + 1;
-    h = fresh;
+    h = issue(me, h.op, site);
+    h.attempts = attempts + 1;
   }
 }
 
 void RmaRuntime::wait(Rank& me, RmaHandle& h, std::source_location site) {
-  wait_impl(me, h, /*timeout=*/-1.0, /*throw_on_error=*/true, site);
+  wait_impl(me, h, /*throw_on_error=*/true, site);
 }
 
 RmaStatus RmaRuntime::try_wait(Rank& me, RmaHandle& h,
                                std::source_location site) {
-  return wait_impl(me, h, /*timeout=*/-1.0, /*throw_on_error=*/false, site);
-}
-
-RmaStatus RmaRuntime::wait_for(Rank& me, RmaHandle& h, double timeout,
-                               std::source_location site) {
-  SRUMMA_REQUIRE(timeout >= 0.0, "wait_for: negative timeout");
-  return wait_impl(me, h, timeout, /*throw_on_error=*/false, site);
+  return wait_impl(me, h, /*throw_on_error=*/false, site);
 }
 
 void RmaRuntime::get2d(Rank& me, int owner, const double* src, index_t ld_src,

@@ -52,9 +52,10 @@
      rma_op_timeouts: "peer gone" is not "peer slow". */                       \
   X(std::uint64_t, rma_domain_dead, Sum)                                       \
   /* Re-arm rounds: a task whose operand exhausted its RMA retries             \
-     re-acquires that operand in place (every executor, and the recovery       \
-     adopter's seeds and stores); one TaskRearm instant each.  Keeps the       \
-     classification identity exact under faults:                               \
+     re-acquires that operand in place (every executor, the recovery           \
+     adopter's seeds and stores, and the buddy-replication gets); one          \
+     TaskRearm instant each.  Keeps the classification identity exact          \
+     under faults:                                                             \
        copy_tasks + direct_tasks == block products executed                    \
      — re-acquires inflate task_reissues, never the class counters. */         \
   X(std::uint64_t, task_reissues, Sum)                                         \

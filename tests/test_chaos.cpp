@@ -247,10 +247,6 @@ TEST(Chaos, SurvivesDeathUnderRetryExhaustion) {
   const Matrix ref = chaos_reference(n, fill_seed, 1.0, 0.0);
   fault::FaultConfig f = kill_config(fault::KillPoint::Chain, 4321);
   f.fail_rate = 0.3;
-  // The two buddy-replication gets (A and B; with beta == 0 no C mirror
-  // is fetched) come first and block in wait(), which has no re-arm:
-  // random faults start at each rank's third op.
-  f.first_op = 2;
   RetryPolicy rp;
   rp.max_attempts = 2;
   for (const bool engine : {false, true}) {

@@ -1,14 +1,15 @@
-// Fault injection, retry, timeout, and degradation: transient failures are
-// retried transparently, exhausted retries surface as status (try_wait) or
-// errors (wait), wait_for models bounded waiting, dead shared-memory
-// domains degrade Direct -> Copy, corrupted payloads are caught by the
-// checksum pass and redone — and the whole fault plane replays exactly
-// from its seed.
+// Fault injection, retry, timeout, and degradation: transient failures of
+// every op kind are retried transparently, exhausted retries surface as
+// status (try_wait) or errors (wait), a late accumulate is never replayed,
+// dead shared-memory domains degrade Direct -> Copy, corrupted payloads are
+// caught by the checksum pass and redone — and the whole fault plane
+// replays exactly from its seed.
 
 #include <gtest/gtest.h>
 
 #include <array>
 #include <string>
+#include <vector>
 
 #include "core/srumma.hpp"
 #include "msg/comm.hpp"
@@ -198,9 +199,17 @@ TEST(FaultRecovery, TransientFailuresRetryTransparently) {
   cfg.retry = rp;
   RmaRuntime rma(team, cfg);
 
+  // Each rank's segment: a get source, then an 8 x 8 put area and an
+  // 8 x 8 accumulate area that the peer writes.
   constexpr std::size_t kElems = 64;
+  constexpr index_t kSide = 8;
+  constexpr index_t kLdSrc = 11;  // strided origin buffer for puts
+  constexpr int kRounds = 32;
+  const auto put_value = [](int rank, int round, index_t i, index_t j) {
+    return 10000.0 * rank + 100.0 * round + static_cast<double>(i + kSide * j);
+  };
   team.run([&](Rank& me) {
-    SymmetricRegion reg = rma.malloc_symmetric(me, kElems);
+    SymmetricRegion reg = rma.malloc_symmetric(me, 3 * kElems);
     double* mine = reg.base(me.id());
     for (std::size_t i = 0; i < kElems; ++i)
       mine[i] = 1000.0 * me.id() + static_cast<double>(i);
@@ -208,7 +217,7 @@ TEST(FaultRecovery, TransientFailuresRetryTransparently) {
 
     const int peer = 1 - me.id();
     std::array<double, kElems> dst{};
-    for (int round = 0; round < 32; ++round) {
+    for (int round = 0; round < kRounds; ++round) {
       dst.fill(-1.0);
       RmaHandle h = rma.nbget(me, peer, reg.base(peer), dst.data(), kElems);
       rma.wait(me, h);
@@ -216,6 +225,42 @@ TEST(FaultRecovery, TransientFailuresRetryTransparently) {
       for (std::size_t i = 0; i < kElems; ++i)
         ASSERT_EQ(dst[i], 1000.0 * peer + static_cast<double>(i));
     }
+
+    // A strided put into the peer's put area each round.
+    std::uint64_t retries = me.trace().rma_retries;
+    std::vector<double> src(static_cast<std::size_t>(kLdSrc * kSide), -1.0);
+    for (int round = 0; round < kRounds; ++round) {
+      for (index_t j = 0; j < kSide; ++j)
+        for (index_t i = 0; i < kSide; ++i)
+          src[static_cast<std::size_t>(i + j * kLdSrc)] =
+              put_value(me.id(), round, i, j);
+      RmaHandle h = rma.nbput2d(me, peer, src.data(), kLdSrc, kSide, kSide,
+                                reg.base(peer) + kElems, kSide);
+      rma.wait(me, h);
+      EXPECT_EQ(h.status, RmaStatus::Ok);
+    }
+    EXPECT_GT(me.trace().rma_retries, retries);
+
+    // An accumulate of ones into the peer's accumulate area each round.
+    retries = me.trace().rma_retries;
+    const std::vector<double> ones(kElems, 1.0);
+    for (int round = 0; round < kRounds; ++round) {
+      RmaHandle h = rma.nbacc2d(me, peer, 1.0, ones.data(), kSide, kSide,
+                                kSide, reg.base(peer) + 2 * kElems, kSide);
+      rma.wait(me, h);
+      EXPECT_EQ(h.status, RmaStatus::Ok);
+    }
+    EXPECT_GT(me.trace().rma_retries, retries);
+    me.barrier();
+
+    // Exactly the last round's values, and exactly one add per round: a
+    // failed accumulate attempt adds nothing.
+    for (index_t j = 0; j < kSide; ++j)
+      for (index_t i = 0; i < kSide; ++i)
+        ASSERT_EQ(mine[kElems + static_cast<std::size_t>(i + kSide * j)],
+                  put_value(peer, kRounds - 1, i, j));
+    for (std::size_t i = 0; i < kElems; ++i)
+      ASSERT_EQ(mine[2 * kElems + i], static_cast<double>(kRounds));
     me.barrier();
   });
 
@@ -275,35 +320,6 @@ TEST(FaultRecovery, ExhaustedRetriesSurfaceAsStatusOrError) {
   }
 }
 
-TEST(FaultRecovery, WaitForTimesOutThenCompletes) {
-  Team team(MachineModel::testing(2, 1));
-  fault::FaultConfig f;
-  f.delay_rate = 1.0;
-  f.delay_factor = 50.0;
-  RmaConfig cfg;
-  cfg.faults = f;
-  RmaRuntime rma(team, cfg);
-
-  constexpr std::size_t kElems = 1 << 15;
-  std::vector<double> dst(kElems, 0.0);
-  team.run([&](Rank& me) {
-    SymmetricRegion reg = rma.malloc_symmetric(me, kElems);
-    me.barrier();
-    if (me.id() == 0) {
-      RmaHandle h = rma.nbget(me, 1, reg.base(1), dst.data(), kElems);
-      const double t0 = me.clock().now();
-      EXPECT_EQ(rma.wait_for(me, h, 1e-9), RmaStatus::Timeout);
-      EXPECT_TRUE(h.pending);  // not consumed: the op is still in flight
-      EXPECT_NEAR(me.clock().now(), t0 + 1e-9, 1e-15);
-      rma.wait(me, h);  // same handle, no double-completion
-      EXPECT_EQ(h.status, RmaStatus::Ok);
-      EXPECT_GE(me.clock().now(), h.completion);
-    }
-    me.barrier();
-  });
-  EXPECT_GT(team.total_trace().faults_delayed, 0u);
-}
-
 TEST(FaultRecovery, OpTimeoutDoesNotReapplyAccumulate) {
   // A delayed-but-successful accumulate already applied its read-modify-
   // write at the owner when it was issued; the op-timeout channel must
@@ -345,51 +361,6 @@ TEST(FaultRecovery, OpTimeoutDoesNotReapplyAccumulate) {
   });
   EXPECT_GT(team.total_trace().rma_op_timeouts, 0u);
   EXPECT_EQ(team.total_trace().rma_retries, 0u);
-}
-
-TEST(FaultRecovery, WaitForParksAtDeadlineDuringRetryBackoff) {
-  // The deadline lands between a failed attempt's completion and its
-  // re-issue: wait_for must park exactly at the deadline — not charge the
-  // backoff or book a fresh attempt past it — and a later wait resumes
-  // the retry from the parked state.
-  Team team(MachineModel::testing(2, 1));
-  fault::FaultConfig f;
-  f.fail_rate = 1.0;
-  f.last_op = 0;  // only each rank's first RMA op fails; the retry succeeds
-  RetryPolicy rp;
-  rp.backoff_base = 1e-3;  // long pause: the deadline lands inside it
-  RmaConfig cfg;
-  cfg.faults = f;
-  cfg.retry = rp;
-  RmaRuntime rma(team, cfg);
-
-  constexpr std::size_t kElems = 256;
-  team.run([&](Rank& me) {
-    SymmetricRegion reg = rma.malloc_symmetric(me, kElems);
-    double* mine = reg.base(me.id());
-    for (std::size_t i = 0; i < kElems; ++i)
-      mine[i] = 10.0 * me.id() + 1.0;
-    me.barrier();
-    if (me.id() == 0) {
-      std::vector<double> dst(kElems, -1.0);
-      RmaHandle h = rma.nbget(me, 1, reg.base(1), dst.data(), kElems);
-      const double t0 = me.clock().now();
-      // Past the failed attempt's completion, inside the backoff window.
-      const double timeout = (h.completion - t0) + 0.5 * rp.backoff_base;
-      EXPECT_EQ(rma.wait_for(me, h, timeout), RmaStatus::Timeout);
-      EXPECT_TRUE(h.pending);
-      EXPECT_TRUE(h.retry_parked);
-      EXPECT_EQ(me.clock().now(), t0 + timeout);  // exactly timeout, no more
-      EXPECT_EQ(me.trace().rma_retries, 0u);      // no re-issue was booked
-
-      rma.wait(me, h);  // resumes backoff + re-issue; retry succeeds
-      EXPECT_EQ(h.status, RmaStatus::Ok);
-      EXPECT_EQ(h.attempts, 2);
-      for (std::size_t i = 0; i < kElems; ++i) ASSERT_EQ(dst[i], 11.0);
-    }
-    me.barrier();
-  });
-  EXPECT_EQ(team.total_trace().rma_retries, 1u);
 }
 
 TEST(FaultRecovery, SameDomainEagerSendsDrawNoDelay) {

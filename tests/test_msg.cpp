@@ -256,42 +256,6 @@ TEST(MsgCollective, BcastNonMemberThrows) {
                Error);
 }
 
-TEST(MsgCollective, ReduceSumToRoot) {
-  Team team(MachineModel::testing(5, 1));
-  Comm comm(team);
-  std::vector<int> group{0, 1, 2, 3, 4};
-  team.run([&](Rank& me) {
-    double v[2] = {static_cast<double>(me.id()), 1.0};
-    comm.reduce_sum(me, group, 2, v, 2);
-    if (me.id() == 2) {
-      EXPECT_EQ(v[0], 0.0 + 1 + 2 + 3 + 4);
-      EXPECT_EQ(v[1], 5.0);
-    }
-  });
-}
-
-TEST(MsgCollective, AllreduceMaxEverywhere) {
-  Team team(MachineModel::testing(4, 1));
-  Comm comm(team);
-  std::vector<int> group{0, 1, 2, 3};
-  team.run([&](Rank& me) {
-    double v = static_cast<double>(10 - me.id());
-    comm.allreduce_max(me, group, &v, 1);
-    EXPECT_EQ(v, 10.0);
-  });
-}
-
-TEST(MsgCollective, BarrierSynchronizes) {
-  Team team(MachineModel::testing(3, 1));
-  Comm comm(team);
-  std::vector<int> group{0, 1, 2};
-  team.run([&](Rank& me) {
-    me.charge_seconds(me.id() * 0.1);
-    comm.barrier(me, group);
-    EXPECT_GE(me.clock().now(), 0.2);  // nobody leaves before the slowest
-  });
-}
-
 TEST(MsgCollective, PhantomBcastTimesWithoutData) {
   Team team(MachineModel::testing(4, 1));
   Comm comm(team);

@@ -221,17 +221,23 @@ TEST(AutoKChunk, DerivedFromKAxisOwnersNotGridEdge) {
     const index_t k = 2048;
     DistMatrix a(env.rma, me, k, 64, ProcGrid{1, 4}, true);
     DistMatrix b(env.rma, me, k, 64, ProcGrid{1, 4}, true);
-    EXPECT_EQ(auto_k_chunk(a, b, blas::Trans::Yes, blas::Trans::No), 512);
+    EXPECT_EQ(auto_k_chunk(a.layout(), b.layout(), blas::Trans::Yes,
+                           blas::Trans::No),
+              512);
     // Untransposed reading of the same storage: A's K axis is its column
     // axis with 4 owners -> 2048 / (4*4) = 128.  (Shapes no longer conform
     // as a product; auto_k_chunk only consults the K axes.)
     DistMatrix a2(env.rma, me, 64, k, ProcGrid{1, 4}, true);
     DistMatrix b2(env.rma, me, k, 64, ProcGrid{1, 4}, true);
-    EXPECT_EQ(auto_k_chunk(a2, b2, blas::Trans::No, blas::Trans::No), 128);
+    EXPECT_EQ(auto_k_chunk(a2.layout(), b2.layout(), blas::Trans::No,
+                           blas::Trans::No),
+              128);
     // Clamp floor/ceiling.
     DistMatrix a3(env.rma, me, 80, 16, ProcGrid{1, 4}, true);
     DistMatrix b3(env.rma, me, 80, 16, ProcGrid{1, 4}, true);
-    EXPECT_EQ(auto_k_chunk(a3, b3, blas::Trans::Yes, blas::Trans::No), 64);
+    EXPECT_EQ(auto_k_chunk(a3.layout(), b3.layout(), blas::Trans::Yes,
+                           blas::Trans::No),
+              64);
   });
 }
 
@@ -247,7 +253,7 @@ TEST(TaskPlan, OneByPGridTransposedUsesWholeKSegments) {
     DistMatrix c(env.rma, me, 64, 64, ProcGrid{1, 4}, true);
     SrummaOptions opt;
     opt.ta = blas::Trans::Yes;
-    opt.k_chunk = auto_k_chunk(a, b, opt.ta, opt.tb);
+    opt.k_chunk = auto_k_chunk(a.layout(), b.layout(), opt.ta, opt.tb);
     TaskPlan plan = build_task_plan(me, a, b, c, opt);
     check_plan_invariants(me, plan, c, k);
     EXPECT_EQ(plan.tasks.size(), static_cast<std::size_t>(k / 512));
