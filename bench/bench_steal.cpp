@@ -6,29 +6,23 @@
 // switch port / flaky NIC" scenario.  The static pipeline consumes its
 // fetches in plan order, so one 8x-delayed patch stalls every product
 // queued behind it.  The engine executes C tiles out of order (whatever
-// operands arrive first), dedups shared operand patches, and lets a rank
-// whose next products are all parked on the slow link steal remote-operand
-// tasks from its SMP-domain mate, committing the handed-back tile at the
-// exact plan position so C stays bitwise identical.
+// operands arrive first) and dedups shared operand patches, while each
+// tile's products still commit in plan order, so C stays bitwise
+// identical.
 //
 // Both arms run the identical plan on the identical machine and fault
 // stream; only the executor differs.  Reported per arm: modeled elapsed
-// virtual time, GFLOP/s, and the task ledger.  The steal ledger must
-// reconcile exactly: engine_tasks + tasks_stolen == copy_tasks +
-// direct_tasks == gemm_calls.  The engine arm is traced, and a "handback"
-// row reports how much virtual time owners spent waiting on their thieves'
-// publishes beyond the tile copy itself.
+// virtual time, GFLOP/s, and the task ledger, which must reconcile
+// exactly: engine_tasks == copy_tasks + direct_tasks == gemm_calls on the
+// engine arm.
 //
-// Expected: >= 1.3x lower elapsed virtual time with the engine on, and no
-// handback wait: virtual-time admission only lets a steal through when
-// its publish lands before the victim could run that work itself.  How
-// many steals pass depends on real-time interleaving.
+// Expected: >= 1.3x lower elapsed virtual time with the engine on, all of
+// it from out-of-order execution.  (The bench keeps its name from the
+// intra-domain work stealing it once measured.)
 
-#include <algorithm>
 #include <iostream>
 
 #include "bench/common.hpp"
-#include "trace/tracer.hpp"
 
 namespace srumma::bench {
 namespace {
@@ -37,8 +31,6 @@ struct Arm {
   MultiplyResult result;
   double wall = 0.0;
   const char* label;
-  std::uint64_t handbacks = 0;
-  double handback_wait = 0.0;  // Handback span time beyond the tile copy
 };
 
 Arm run_arm(const MachineModel& machine, EngineMode mode, index_t n,
@@ -57,23 +49,7 @@ Arm run_arm(const MachineModel& machine, EngineMode mode, index_t n,
   opt.engine = mode;
   Arm arm;
   arm.label = mode == EngineMode::On ? "engine" : "pipeline";
-  if (mode == EngineMode::On) tb.team.enable_tracer(trace::TracerConfig{});
   arm.result = run_srumma(tb, n, n, n, opt, &arm.wall);
-  if (const trace::Tracer* tr = tb.team.tracer_ptr()) {
-    // Every tile is c_chunk x c_chunk (the local blocks divide evenly), so
-    // each handback's own cost is one uncontended intra-domain tile copy.
-    const double copy =
-        machine.shm_latency + static_cast<double>(opt.c_chunk) *
-                                  static_cast<double>(opt.c_chunk) *
-                                  sizeof(double) / machine.shm_bw;
-    for (int r = 0; r < tr->ranks(); ++r)
-      for (const trace::TraceEvent& e : tr->events(r))
-        if (e.type == trace::EvType::Span &&
-            e.phase == trace::Phase::Handback) {
-          arm.handbacks += 1;
-          arm.handback_wait += std::max(0.0, e.t1 - e.t0 - copy);
-        }
-  }
   return arm;
 }
 
@@ -91,16 +67,13 @@ int main() {
 
   MetricsLog log("steal");
   TableWriter table({"executor", "time ms", "GFLOP/s", "engine tasks",
-                     "stolen", "denied", "copy tasks", "direct tasks",
-                     "reissues"});
+                     "copy tasks", "direct tasks", "reissues"});
   Arm arms[] = {run_arm(machine, EngineMode::Off, n, straggler),
                 run_arm(machine, EngineMode::On, n, straggler)};
   for (const Arm& a : arms) {
     const TraceCounters& t = a.result.trace;
     table.add_row({a.label, ms(a.result.elapsed), gf(a.result.gflops),
                    TableWriter::num(static_cast<long long>(t.engine_tasks)),
-                   TableWriter::num(static_cast<long long>(t.tasks_stolen)),
-                   TableWriter::num(static_cast<long long>(t.steals_denied)),
                    TableWriter::num(static_cast<long long>(t.copy_tasks)),
                    TableWriter::num(static_cast<long long>(t.direct_tasks)),
                    TableWriter::num(static_cast<long long>(t.task_reissues))});
@@ -119,20 +92,11 @@ int main() {
               "Linux cluster, 4 dual nodes (8 ranks), N=" +
                   std::to_string(n) + ", straggler node " +
                   std::to_string(straggler));
-  const Arm& eng = arms[1];
-  log.add_metrics("handback",
-                  {{"handbacks", static_cast<double>(eng.handbacks)},
-                   {"handback_wait_s", eng.handback_wait}},
-                  {{"n", static_cast<double>(n)}}, 0.0, eng.result.elapsed);
-  const double ratio = arms[0].result.elapsed / eng.result.elapsed;
+  const double ratio = arms[0].result.elapsed / arms[1].result.elapsed;
   std::cout << "  virtual-time speedup (pipeline/engine): "
-            << TableWriter::num(ratio, 3) << "x, tasks stolen: "
-            << eng.result.trace.tasks_stolen << ", handback wait beyond the "
-            << "tile copy: " << eng.handback_wait * 1e3 << " ms over "
-            << eng.handbacks << " handbacks\n\n"
+            << TableWriter::num(ratio, 3) << "x\n\n"
             << "Expected shape: >= 1.3x lower elapsed virtual time with the "
-               "engine, zero handback wait, and an exactly reconciling "
-               "ledger (engine_tasks + tasks_stolen == copy_tasks + "
-               "direct_tasks == gemm_calls).\n";
+               "engine, and an exactly reconciling ledger (engine_tasks == "
+               "copy_tasks + direct_tasks == gemm_calls).\n";
   return log.write_env() ? 0 : 1;
 }

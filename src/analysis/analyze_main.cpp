@@ -57,7 +57,7 @@ int run(int argc, const char* const* argv) {
                       "task ordering policy");
   cli.add_choice_flag("mutate", "none",
                       {"none", "drop-wait", "reorder-commit", "widen-get",
-                       "alias-scratch", "adopt-chain"},
+                       "adopt-chain"},
                       "seed one protocol fault before analyzing "
                       "(expected to exit nonzero)");
   cli.add_flag("seed", "1", "mutation site selection seed");

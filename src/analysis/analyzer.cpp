@@ -113,7 +113,7 @@ void check_plan_shape(const PlanModel& pm, const RankModel& rm,
       continue;
     }
 
-    // Locality flags drive ordering, the steal board and cache routing;
+    // Locality flags drive ordering and cache routing;
     // recompute them from the layouts.
     const bool a_in = pm.a.rect_in_domain(mm, rm.rank, t.a_i0, t.a_j0, t.a_m,
                                           t.a_n);
@@ -357,11 +357,13 @@ ReplayResult pipeline_replay(const PlanModel& pm, const RankModel& rm,
 // 3. Commit-chain consistency.
 //
 // chain_layout groups the plan by C tile with positions in plan order; the
-// engine trusts that grouping twice (the task_pos execute gate and the
-// tile_tasks handback head scan).  Verifying the two views agree — every
-// task exactly once, positions strictly in plan order, tiles homogeneous —
-// establishes that the dependency graph is a disjoint union of linear
-// chains, hence acyclic.
+// engine's execute gate trusts that grouping (a task runs when its
+// task_pos equals its tile's commit count).  Verifying that task_tile /
+// task_pos and tile_tasks agree — every task exactly once, positions
+// strictly in plan order, tiles homogeneous — establishes that the
+// dependency graph is a disjoint union of linear chains in plan order, so
+// the earliest uncommitted plan index always heads its chain and the
+// engine cannot deadlock (docs/ANALYSIS.md §2).
 // ---------------------------------------------------------------------------
 
 void check_chains(const RankModel& rm, std::vector<Finding>& out) {
@@ -394,7 +396,7 @@ void check_chains(const RankModel& rm, std::vector<Finding>& out) {
                 "'s chain but records (tile " +
                 std::to_string(ch.task_tile[idx]) + ", pos " +
                 std::to_string(ch.task_pos[idx]) +
-                ") — the execute gate and the handback head scan disagree");
+                ") — the execute gate and the chain disagree");
       if (p > 0 && idx <= prev)
         add(out, FindingKind::CommitChain, std::nullopt, rm.rank,
             static_cast<std::ptrdiff_t>(idx),
@@ -461,197 +463,7 @@ void check_adopted_chains(const PlanModel& pm, const RankModel& rm,
 }
 
 // ---------------------------------------------------------------------------
-// 4. Steal-protocol fixpoint.
-//
-// Simulates the engine's scheduling rules at the dependency level for
-// adversarial steal scenarios: thieves pre-claim a chosen subset of every
-// rank's stealable tasks (none / all / every second one).  Owners issue in
-// plan order under the lookahead window, execute any in-flight task whose
-// chain position equals its tile's commit count, thieves finish a stolen
-// task once its predecessor products committed, and owners commit a
-// finished handback when it is the chain head — exactly run_plan's gates.
-// Reaching a fixpoint short of full commitment is a protocol deadlock; the
-// clean-plan proof mechanizes the earliest-uncommitted-position induction
-// (the minimal uncommitted plan index is always its tile's head and always
-// runnable).
-// ---------------------------------------------------------------------------
-
-void steal_fixpoint(const PlanModel& pm, std::vector<Finding>& out) {
-  struct Scenario {
-    const char* name;
-    int keep_mod;  // steal stealable[i] when i % keep_mod == 0; 0 = none
-  };
-  const Scenario scenarios[] = {{"none-stolen", 0},
-                                {"all-stolen", 1},
-                                {"alternate-stolen", 2}};
-
-  for (const Scenario& sc : scenarios) {
-    struct RankSim {
-      std::set<std::size_t> stolen;
-      std::vector<int> commits;
-      std::vector<std::size_t> inflight;
-      std::size_t next = 0;
-      std::size_t committed = 0;
-      std::set<std::size_t> thief_done;
-      std::set<std::size_t> hb_done;
-    };
-    std::vector<RankSim> sims(pm.ranks.size());
-    std::size_t total = 0;
-    for (std::size_t r = 0; r < pm.ranks.size(); ++r) {
-      sims[r].commits.assign(pm.ranks[r].chains.tile_tasks.size(), 0);
-      total += pm.ranks[r].plan.tasks.size();
-      if (sc.keep_mod > 0)
-        for (std::size_t s = 0; s < pm.ranks[r].stealable.size(); ++s)
-          if (s % static_cast<std::size_t>(sc.keep_mod) == 0)
-            sims[r].stolen.insert(pm.ranks[r].stealable[s]);
-    }
-
-    std::size_t committed_team = 0;
-    bool changed = true;
-    while (changed && committed_team < total) {
-      changed = false;
-      for (std::size_t r = 0; r < pm.ranks.size(); ++r) {
-        const RankModel& rm = pm.ranks[r];
-        RankSim& st = sims[r];
-        const std::size_t n = rm.plan.tasks.size();
-        const std::size_t window =
-            static_cast<std::size_t>(rm.lookahead) + 1;
-        const auto topup = [&] {
-          while (st.inflight.size() < window && st.next < n) {
-            const std::size_t idx = st.next++;
-            changed = true;
-            if (st.stolen.count(idx) != 0) continue;  // thief's problem now
-            st.inflight.push_back(idx);
-          }
-        };
-        topup();
-        // Execute every gated-open own task (the engine picks by readiness;
-        // for deadlock freedom only the gate matters).
-        bool ran = true;
-        while (ran) {
-          ran = false;
-          for (std::size_t p = 0; p < st.inflight.size(); ++p) {
-            const std::size_t idx = st.inflight[p];
-            const int tile = rm.chains.task_tile[idx];
-            if (rm.chains.task_pos[idx] !=
-                st.commits[static_cast<std::size_t>(tile)])
-              continue;
-            st.commits[static_cast<std::size_t>(tile)] += 1;
-            ++st.committed;
-            ++committed_team;
-            st.inflight.erase(st.inflight.begin() +
-                              static_cast<std::ptrdiff_t>(p));
-            topup();
-            ran = true;
-            changed = true;
-            break;
-          }
-        }
-        // Thieves: a claimed task runs once its predecessors committed
-        // (the try_steal predicate; a blocked thief wakes on that commit).
-        for (const std::size_t idx : st.stolen) {
-          if (st.thief_done.count(idx) != 0) continue;
-          const int tile = rm.chains.task_tile[idx];
-          if (st.commits[static_cast<std::size_t>(tile)] >=
-              rm.chains.task_pos[idx]) {
-            st.thief_done.insert(idx);
-            changed = true;
-          }
-        }
-        // Handbacks: run_plan scans each tile's chain *head* for a
-        // claimed-and-done descriptor — a done thief result anywhere else
-        // in the chain is invisible to it.
-        for (std::size_t tile = 0; tile < rm.chains.tile_tasks.size();
-             ++tile) {
-          const std::vector<std::size_t>& chain = rm.chains.tile_tasks[tile];
-          const auto pos = static_cast<std::size_t>(st.commits[tile]);
-          if (pos >= chain.size()) continue;
-          const std::size_t head = chain[pos];
-          if (st.stolen.count(head) == 0 || st.hb_done.count(head) != 0 ||
-              st.thief_done.count(head) == 0)
-            continue;
-          st.hb_done.insert(head);
-          st.commits[tile] += 1;
-          ++st.committed;
-          ++committed_team;
-          changed = true;
-        }
-      }
-    }
-
-    if (committed_team < total) {
-      for (std::size_t r = 0; r < pm.ranks.size(); ++r) {
-        const RankSim& st = sims[r];
-        const RankModel& rm = pm.ranks[r];
-        if (st.committed == rm.plan.tasks.size()) continue;
-        std::string stuck;
-        for (std::size_t tile = 0; tile < rm.chains.tile_tasks.size();
-             ++tile) {
-          if (static_cast<std::size_t>(st.commits[tile]) <
-              rm.chains.tile_tasks[tile].size()) {
-            if (!stuck.empty()) stuck += ", ";
-            stuck += std::to_string(tile) + "@" +
-                     std::to_string(st.commits[tile]);
-            if (stuck.size() > 60) { stuck += ", ..."; break; }
-          }
-        }
-        add(out, FindingKind::StealProtocol, std::nullopt,
-            static_cast<int>(r), -1,
-            std::string("steal scenario '") + sc.name +
-                "' deadlocks: rank committed " +
-                std::to_string(st.committed) + "/" +
-                std::to_string(rm.plan.tasks.size()) +
-                " products, tiles stuck at " + stuck);
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// 5. Steal-scratch aliasing.
-//
-// A thief's scratch tile must be fresh storage: it is copied over the
-// victim's C tile only at handback, under the commit gate.  A scratch
-// aliased onto any part of the victim's live C block races the victim's own
-// commits with no epoch separating them — exactly the overlap test the
-// dynamic checker applies, run here over the modeled footprints.
-// ---------------------------------------------------------------------------
-
-check::Footprint tile_footprint(const Task& t, index_t block_rows) {
-  check::Footprint fp;
-  fp.lo = static_cast<std::uint64_t>(t.cj * block_rows + t.ci) *
-          sizeof(double);
-  fp.rows = static_cast<std::uint64_t>(t.cm) * sizeof(double);
-  fp.cols = static_cast<std::uint64_t>(t.cn);
-  fp.ld = static_cast<std::uint64_t>(block_rows) * sizeof(double);
-  return fp;
-}
-
-void check_scratch_alias(const PlanModel& pm, const RankModel& rm,
-                         std::vector<Finding>& out) {
-  if (rm.scratch_alias.empty()) return;
-  const index_t block_rows = pm.c.block_rows(rm.rank);
-  for (const std::size_t idx : rm.scratch_alias) {
-    const check::Footprint scratch =
-        tile_footprint(rm.plan.tasks[idx], block_rows);
-    for (std::size_t j = 0; j < rm.plan.tasks.size(); ++j) {
-      const check::Footprint owned =
-          tile_footprint(rm.plan.tasks[j], block_rows);
-      if (check::footprints_overlap(scratch, owned)) {
-        add(out, FindingKind::StealProtocol, check::Diag::EpochConflict,
-            rm.rank, static_cast<std::ptrdiff_t>(idx),
-            "thief scratch of stolen task " + std::to_string(idx) +
-                " aliases the victim's live C block (overlaps the write "
-                "footprint of task " + std::to_string(j) +
-                ") — the gemm into scratch races the owner's commits");
-        break;
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// 6. Resource bounds.
+// 4. Resource bounds.
 // ---------------------------------------------------------------------------
 
 struct RankBounds {
@@ -661,8 +473,7 @@ struct RankBounds {
   std::uint64_t engine_pins = 0;
 };
 
-RankBounds rank_bounds(const PlanModel& pm, const RankModel& rm) {
-  const MachineModel& mm = pm.cfg.machine;
+RankBounds rank_bounds(const RankModel& rm) {
   const std::vector<Task>& tasks = rm.plan.tasks;
   RankBounds rb;
   if (tasks.empty()) return rb;
@@ -694,8 +505,8 @@ RankBounds rank_bounds(const PlanModel& pm, const RankModel& rm) {
   // plan index > n (the slot's [first, last] consumer interval then spans
   // n — the sweep term) or one of the <= window issued-uncommitted tasks
   // (each pinning at most one A and one B slot — the additive term).  The
-  // bound therefore holds for arbitrary commit orders and steal
-  // interleavings, not just the replayed clean order.
+  // bound therefore holds for arbitrary commit orders, not just the
+  // replayed clean order.
   struct SlotSpan {
     std::uint64_t bytes = 0;
     std::size_t first = 0, last = 0;
@@ -730,11 +541,8 @@ RankBounds rank_bounds(const PlanModel& pm, const RankModel& rm) {
     sweep_max = std::max(sweep_max, live);
   }
   rb.engine_bytes = sweep_max + window * (max_a + max_b);
-  // <= window own tasks hold unwaited slots (2 each) plus one in-flight
-  // steal's scratch operands.
-  rb.engine_pins =
-      any_remote || mm.domain_size() > 1 ? 2 * window + 2 : 2 * window;
-  if (!any_remote) rb.engine_pins = 0;
+  // <= window issued tasks hold unwaited slots (2 each).
+  rb.engine_pins = any_remote ? 2 * window : 0;
   return rb;
 }
 
@@ -746,7 +554,6 @@ const char* finding_kind_name(FindingKind k) {
     case FindingKind::EpochSafety: return "epoch-safety";
     case FindingKind::Pipeline: return "pipeline";
     case FindingKind::CommitChain: return "commit-chain";
-    case FindingKind::StealProtocol: return "steal-protocol";
     case FindingKind::ResourceBound: return "resource-bound";
   }
   return "?";
@@ -761,21 +568,17 @@ AnalysisReport analyze(const PlanModel& pm) {
 
   for (const RankModel& rm : pm.ranks) {
     rep.total_tasks += rm.plan.tasks.size();
-    rep.total_stealable += rm.stealable.size();
     rep.total_tiles += rm.chains.tile_tasks.size();
     rep.max_lookahead = std::max(rep.max_lookahead, rm.lookahead);
 
     check_plan_shape(pm, rm, rep.findings);
     check_chains(rm, rep.findings);
     check_adopted_chains(pm, rm, rep.findings);
-    check_scratch_alias(pm, rm, rep.findings);
     const ReplayResult rr = pipeline_replay(pm, rm, rep.findings);
     replay_peak_bytes = std::max(replay_peak_bytes, rr.peak_bytes);
     replay_peak_pins = std::max(replay_peak_pins, rr.peak_pins);
-    per_rank.push_back(rank_bounds(pm, rm));
+    per_rank.push_back(rank_bounds(rm));
   }
-
-  steal_fixpoint(pm, rep.findings);
 
   for (std::size_t r = 0; r < per_rank.size(); ++r) {
     const RankBounds& rb = per_rank[r];
@@ -829,7 +632,6 @@ std::string report_json(const PlanModel& pm, const AnalysisReport& rep,
   j += ",\"max_lookahead\":" + std::to_string(rep.max_lookahead) + "}";
   j += ",\"total_tasks\":" + std::to_string(rep.total_tasks);
   j += ",\"total_tiles\":" + std::to_string(rep.total_tiles);
-  j += ",\"stealable_tasks\":" + std::to_string(rep.total_stealable);
   j += ",\"bounds\":{\"buffer_bytes_peak_bound\":" +
        std::to_string(rep.bounds.buffer_bytes);
   j += ",\"pipeline_buffer_bytes_bound\":" +

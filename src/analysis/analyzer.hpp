@@ -10,12 +10,10 @@
 //      an exact replay of the prefetch pipeline's slot rotation proving no
 //      buffer is read or re-targeted while its get is pending.  Together
 //      these rule out every diagnostic class in src/check for clean plans.
-//   2. Commit-chain consistency and steal-protocol deadlock freedom — the
-//      chains the engine executes are exactly the plan-order grouping, and
-//      a fixpoint simulation over adversarial steal scenarios (none / all /
-//      alternate stealable tasks claimed by thieves) terminates with every
-//      product committed, mechanizing the earliest-uncommitted-position
-//      induction of docs/ENGINE.md.
+//   2. Commit-chain consistency — the chains the engine executes are
+//      exactly the plan-order grouping, which is what makes it
+//      deadlock-free (the earliest-uncommitted-position induction of
+//      docs/ANALYSIS.md §2).
 //   3. Static resource bounds — provable per-team ceilings on
 //      buffer_bytes_peak and concurrent cache pins for both executors,
 //      cross-checked against the replay's exact clean-run peak.
@@ -38,7 +36,6 @@ enum class FindingKind {
   EpochSafety,    ///< an ownership / bounds premise of epoch safety fails
   Pipeline,       ///< the pipeline replay read or re-targeted a pending buffer
   CommitChain,    ///< chain layout is not the plan-order grouping
-  StealProtocol,  ///< steal fixpoint deadlocks or scratch aliases live C
   ResourceBound,  ///< a replay peak exceeds its provable static bound
 };
 
@@ -69,7 +66,6 @@ struct AnalysisReport {
   std::vector<Finding> findings;
   ResourceBounds bounds;
   std::size_t total_tasks = 0;
-  std::size_t total_stealable = 0;
   std::size_t total_tiles = 0;
   int max_lookahead = 0;
   /// Exact clean-run pipeline footprint from the replay (<= the bound).

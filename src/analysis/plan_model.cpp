@@ -62,8 +62,6 @@ PlanModel build_plan_model(const AnalysisConfig& cfg) {
     rm.lookahead = cfg.options.nonblocking ? rm.tuned.lookahead : 0;
     rm.plan = build_task_plan(r, cfg.machine, pm.a, pm.b, pm.c, rm.tuned);
     rm.chains = engine::chain_layout(rm.plan);
-    rm.stealable =
-        engine::stealable_tasks(rm.plan, cfg.machine.domain_size());
     pm.ranks.push_back(std::move(rm));
   }
   return pm;
@@ -74,7 +72,6 @@ const char* mutation_name(Mutation m) {
     case Mutation::DropWait: return "drop-wait";
     case Mutation::ReorderCommit: return "reorder-commit";
     case Mutation::WidenGetWindow: return "widen-get";
-    case Mutation::AliasStealScratch: return "alias-scratch";
     case Mutation::AdoptChain: return "adopt-chain";
   }
   return "?";
@@ -84,7 +81,6 @@ std::optional<Mutation> mutation_from_name(std::string_view s) {
   if (s == "drop-wait") return Mutation::DropWait;
   if (s == "reorder-commit") return Mutation::ReorderCommit;
   if (s == "widen-get") return Mutation::WidenGetWindow;
-  if (s == "alias-scratch") return Mutation::AliasStealScratch;
   if (s == "adopt-chain") return Mutation::AdoptChain;
   return std::nullopt;
 }
@@ -167,22 +163,6 @@ std::string mutate_plan(PlanModel& pm, Mutation mut, std::uint64_t seed) {
       }
       return "widen-get: rank " + std::to_string(r) + " task " +
              std::to_string(i) + " A window grows by " + how;
-    }
-
-    case Mutation::AliasStealScratch: {
-      std::vector<std::size_t> ranks_with;
-      for (std::size_t r = 0; r < pm.ranks.size(); ++r)
-        if (!pm.ranks[r].stealable.empty()) ranks_with.push_back(r);
-      SRUMMA_REQUIRE(!ranks_with.empty(),
-                     "mutate_plan: no stealable task whose scratch could "
-                     "alias (single-domain machine or all-local plan)");
-      const std::size_t r = ranks_with[pick(ranks_with.size())];
-      RankModel& rm = pm.ranks[r];
-      const std::size_t i = rm.stealable[pick(rm.stealable.size())];
-      rm.scratch_alias.push_back(i);
-      return "alias-scratch: rank " + std::to_string(r) +
-             "'s stealable task " + std::to_string(i) +
-             " hands thieves a scratch aliased onto its live C tile";
     }
 
     case Mutation::AdoptChain: {

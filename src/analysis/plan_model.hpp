@@ -2,9 +2,9 @@
 // Static plan model for srumma-analyze (docs/ANALYSIS.md).
 //
 // A PlanModel is everything a SRUMMA run decides *before* touching data:
-// the tuned option set, every rank's task plan, the commit-chain layout the
-// engine would execute and the set of tasks it would post on the steal
-// board.  It is built from the same code paths the run uses —
+// the tuned option set, every rank's task plan and the commit-chain layout
+// the engine would execute.  It is built from the same code paths the run
+// uses —
 // tune_options, the layout-based build_task_plan overload and
 // engine::chain_layout — so the analyzed schedule cannot drift from the
 // executed one.  No team, no allocation, no virtual clock.
@@ -12,8 +12,7 @@
 // The mutation hooks seed one deliberate protocol fault into a model
 // (negative testing for the analyzer itself): dropping an operand wait,
 // reordering a commit-chain link, widening a get window past its task's
-// footprint, aliasing a steal scratch buffer onto the victim's live C
-// tile, or replaying an adopted dead rank's commit chain out of plan
+// footprint, or replaying an adopted dead rank's commit chain out of plan
 // order (the recovery-side analogue of reorder-commit, docs/FAULTS.md §7).
 // srumma-analyze must flag every class and certify clean models with zero
 // findings.
@@ -52,15 +51,11 @@ struct RankModel {
   int lookahead = 0;
   TaskPlan plan;
   engine::ChainLayout chains;
-  std::vector<std::size_t> stealable;
 
   // -- seeded faults (empty in clean models) --------------------------------
   /// Plan indices whose operand waits the pipeline "forgets" (the replay
   /// skips them; the analyzer must diagnose the use-before-wait class).
   std::vector<std::size_t> dropped_waits;
-  /// Stealable plan indices whose thief scratch buffer aliases the victim's
-  /// live C tile instead of fresh storage.
-  std::vector<std::size_t> scratch_alias;
   /// Recovery model (docs/FAULTS.md §7): a dead rank's commit chain this
   /// rank would adopt and replay from the buddy replica.  `task_idxs` is
   /// the replay order over the DEAD rank's plan indices; recovery promises
@@ -84,17 +79,16 @@ struct PlanModel {
 
 /// Build the full team model: stored-operand layouts on the near-square
 /// grid (the library's default distribution), then per rank the tuned
-/// options, plan, chains and steal set.
+/// options, plan and chains.
 [[nodiscard]] PlanModel build_plan_model(const AnalysisConfig& cfg);
 
 /// Seeded protocol faults, one per dynamic diagnostic family the analyzer
 /// must prove impossible on clean plans.
 enum class Mutation {
-  DropWait,           ///< pipeline skips one task's operand waits
-  ReorderCommit,      ///< swap two adjacent commit-chain links
-  WidenGetWindow,     ///< grow one get window past the task's footprint
-  AliasStealScratch,  ///< thief scratch aliases the victim's live C tile
-  AdoptChain,         ///< survivor replays an adopted chain out of plan order
+  DropWait,        ///< pipeline skips one task's operand waits
+  ReorderCommit,   ///< swap two adjacent commit-chain links
+  WidenGetWindow,  ///< grow one get window past the task's footprint
+  AdoptChain,      ///< survivor replays an adopted chain out of plan order
 };
 
 [[nodiscard]] const char* mutation_name(Mutation m);

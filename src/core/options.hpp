@@ -58,10 +58,8 @@ enum class EngineMode : std::uint8_t {
   /// rotation, failed operands re-armed in place.  Deterministic timing.
   Off,
   /// Dependency-driven task engine (src/engine): per-task operand
-  /// ownership, out-of-order execution across C tiles, fetch re-arm on
-  /// failure, and intra-domain work stealing.  C is bitwise-identical to
-  /// the pipeline; modeled *timing* may vary run-to-run because steal
-  /// decisions race in real time (see docs/ENGINE.md).
+  /// ownership, out-of-order execution across C tiles and fetch re-arm on
+  /// failure.  C is bitwise-identical to the pipeline (docs/ENGINE.md).
   On,
 };
 

@@ -218,18 +218,18 @@ MultiplyResult srumma_multiply(Rank& me, DistMatrix& a, DistMatrix& b,
   }
 
   // Executor dispatch: the dependency-driven engine replaces the static
-  // pipeline with per-task operand ownership, out-of-order execution across
-  // C tiles and intra-domain work stealing (src/engine, docs/ENGINE.md).
-  // Both executors produce bitwise-identical C; the engine's modeled timing
-  // may vary run to run.  The pipeline's operand buffers are freed only
-  // after collect_result's barriers: the happens-before race detector
+  // pipeline with per-task operand ownership and out-of-order execution
+  // across C tiles (src/engine, docs/ENGINE.md).  Both executors produce
+  // bitwise-identical C.  Every operand buffer is freed only after
+  // collect_result's barriers: the happens-before race detector
   // (docs/ANALYSIS.md) keys local buffers by address, and a buffer freed
-  // earlier could be reallocated to a mate whose fetches into it no
+  // earlier could be reallocated to another rank whose fetches into it no
   // barrier orders after ours.
   std::vector<OperandState> a_state;
   std::vector<OperandState> b_state;
+  engine::OperandPool engine_operands;
   if (engine::selected(tuned.engine)) {
-    engine::run_plan(me, a, b, c, tuned, lookahead, plan);
+    engine::run_plan(me, a, b, c, tuned, lookahead, plan, engine_operands);
   } else {
     run_pipeline(me, a, b, c, tuned, lookahead, plan, a_state, b_state);
   }

@@ -1,6 +1,5 @@
 #pragma once
-// Dependency-driven task engine with intra-domain work stealing
-// (docs/ENGINE.md).
+// Dependency-driven task engine (docs/ENGINE.md).
 //
 // The static pipeline in core/srumma.cpp executes the task plan strictly in
 // order: task t waits on the fetches issued for slot t mod (lookahead+1),
@@ -17,19 +16,11 @@
 //     commit in plan order, which keeps C bitwise-identical to the
 //     pipeline's result;
 //   * a failed operand is re-armed in place (fresh fetch, task stays where
-//     it is), as in every executor (engine/operand.hpp);
-//   * tasks with an out-of-domain operand are posted on a per-domain board;
-//     an idle domain mate may steal one, fetch the operands itself, run the
-//     product into a scratch tile seeded with the owner's current C tile,
-//     and hand the finished tile back through shared memory.  The owner
-//     commits it at the task's plan position, so stealing never perturbs
-//     the numerics.  A steal is admitted only when the thief's projected
-//     publish lands before the victim could run that work itself
-//     (steal_admitted), so a steal never stalls its victim.
+//     it is), as in every executor (engine/operand.hpp).
 //
-// Because steal decisions race in real time, the *modeled timing* of an
-// engine run may vary run to run; the C result is structurally bitwise
-// deterministic.  Tests that compare timings pin EngineMode::Off.
+// Each rank runs its own plan and shares nothing with its domain mates
+// except through RMA, the block cache and the fault plane, so its modeled
+// timing depends on host order exactly as the pipeline's does.
 
 #include <cstddef>
 #include <vector>
@@ -37,6 +28,7 @@
 #include "core/options.hpp"
 #include "core/task_plan.hpp"
 #include "dist/dist_matrix.hpp"
+#include "engine/operand.hpp"
 
 namespace srumma::engine {
 
@@ -60,36 +52,25 @@ struct ChainLayout {
 
 [[nodiscard]] ChainLayout chain_layout(const TaskPlan& plan);
 
-/// Plan indices run_plan posts on the domain steal board: tasks with an
-/// out-of-domain operand, on machines with more than one rank per domain.
-[[nodiscard]] std::vector<std::size_t> stealable_tasks(const TaskPlan& plan,
-                                                       int domain_size);
-
-/// One steal candidate as the admission test sees it (virtual seconds).
-struct StealBid {
-  double thief_now = 0.0;  ///< the thief's clock
-  int cursor = 0;          ///< victim's commit count on the task's tile
-  int pos = 0;             ///< the task's position in that tile's chain
-  double pred_vt = 0.0;    ///< virtual time of the tile's latest commit
-  double work_vt = 0.0;    ///< 2 x tile copy + operand fetch + gemm
-  double horizon = 0.0;    ///< victim's lower bound on its next own work
+/// The engine's operand storage for one multiply: one state per distinct
+/// patch, and the buffers of released states, which later acquires of the
+/// same rank reuse.  srumma_multiply owns it so that no operand buffer is
+/// freed before collect_result's closing barriers: the happens-before race
+/// detector (docs/ANALYSIS.md) keys local buffers by address, and a buffer
+/// freed earlier could be reallocated to another rank whose fetches into it
+/// no barrier orders after this rank's reads.
+struct OperandPool {
+  std::vector<OperandState> states;
+  std::vector<Matrix> spare;
 };
-
-/// Virtual-time steal admission (docs/ENGINE.md §3): a thief may claim a
-/// task only if its projected publish, max(thief_now, pred_vt) + work_vt,
-/// is no later than the victim's horizon — the earliest the victim could
-/// commit that position itself.  An ahead-of-cursor position is always
-/// denied: its predecessor commits no earlier than the horizon, so the
-/// thief's publish would land after it.  The horizon only ever rises, so a
-/// stale horizon can only deny.
-[[nodiscard]] bool steal_admitted(const StealBid& bid);
 
 /// Execute one rank's task plan through the engine.  Called from
 /// srumma_multiply after tuning, plan construction and the beta pre-scale;
 /// opens and closes its own cooperative-cache epoch, exactly like the
 /// static pipeline.  `opt` is the tuned option set; `lookahead` is the
-/// resolved prefetch depth (0 in blocking mode).
+/// resolved prefetch depth (0 in blocking mode).  `pool` must start empty.
 void run_plan(Rank& me, DistMatrix& a, DistMatrix& b, DistMatrix& c,
-              const SrummaOptions& opt, int lookahead, const TaskPlan& plan);
+              const SrummaOptions& opt, int lookahead, const TaskPlan& plan,
+              OperandPool& pool);
 
 }  // namespace srumma::engine

@@ -7,10 +7,10 @@
 // with a (possibly) nonblocking generalized get, optionally routed through
 // the cooperative block cache.  The static pipeline (core/srumma.cpp) owns
 // a rotating pool of these; the dependency-driven engine (engine/engine.cpp)
-// hands each task-graph operand its own refcounted state; thieves and
-// recovery adopters hold one pair per task.  All four acquire, settle,
-// re-arm and multiply through the functions below — that is what makes
-// their C results and fault behavior comparable.
+// hands each task-graph operand its own refcounted state; recovery
+// adopters hold one pair per task.  All three acquire, settle, re-arm and
+// multiply through the functions below — that is what makes their C
+// results and fault behavior comparable.
 //
 // Accounting note: acquire() deliberately bumps no task-classification
 // counters.  copy_tasks / direct_tasks count *block products* and are
@@ -115,7 +115,7 @@ struct ReissueBudget {
 
 /// One block product dst += alpha op(A) op(B) from settled operands: the
 /// checker's operand-read declarations, plus the write of `dst` when `c`
-/// is given (a thief's or adopter's scratch tile is not a C segment), the
+/// is given (an adopter's scratch tile is not a C segment), the
 /// dgemm (skipped in phantom mode), its modeled time, and the product's
 /// direct/copy classification.
 void multiply(Rank& me, const SrummaOptions& opt, DistMatrix& a,

@@ -222,8 +222,8 @@ void adopt_range(Rank& me, DistMatrix& a, DistMatrix& b, DistMatrix& c,
     const bool settled =
         settle(me, a, b, t, opt, sa, sb, budget, stream[ti].idx);
     SRUMMA_ASSERT(settled, "recovery: adopter's own domain is dead");
-    // Scratch is adopter-local (like a thief's), so the C-tile write is
-    // not declared against put epochs; the store below is.
+    // Scratch is adopter-local, so the C-tile write is not declared
+    // against put epochs; the store below is.
     multiply(me, opt, a, b, nullptr, t, sa, sb, tl.sv);
     me.trace().tasks_adopted += 1;
     if (ti + depth < stream.size()) issue(ti + depth);
@@ -256,8 +256,8 @@ void RecoveryGuard::run(Rank& me, DistMatrix& a, DistMatrix& b,
   me.barrier();
   const int kd = fp->kill_domain();
   if (!fp->domain_killed(kd)) {
-    // The configured kill point was never reached by this executor (e.g. a
-    // Steal kill under the non-stealing pipeline): fault-free run.  The
+    // The configured kill point was never reached (e.g. its
+    // kill_after_vtime lies past the multiply's end): fault-free run.  The
     // barrier above keeps the collective sequence symmetric.
     return;
   }

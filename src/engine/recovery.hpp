@@ -22,10 +22,9 @@
 //      back — the store redirects into the buddy replica, where gather_to
 //      serves dead-domain blocks from.
 //
-// The guard registry is keyed by Team* with the same lifetime discipline as
-// the engine's steal boards: srumma_multiply's entry barrier precedes every
-// construction and collect_result's barriers follow every destruction, so
-// two multiplies never share a session.
+// The guard registry is keyed by Team*: srumma_multiply's entry barrier
+// precedes every construction and collect_result's barriers follow every
+// destruction, so two multiplies never share a session.
 
 #include <map>
 #include <memory>

@@ -62,7 +62,6 @@ std::optional<FaultConfig> FaultConfig::from_env() {
   if (const auto w = env::word("SRUMMA_FAULT_KILL_POINT")) {
     cfg.kill_point = *w == "prefetch" ? KillPoint::Prefetch
                      : *w == "chain"  ? KillPoint::Chain
-                     : *w == "steal"  ? KillPoint::Steal
                      : *w == "barrier" ? KillPoint::Barrier
                                        : KillPoint::None;
     any = true;

@@ -23,12 +23,12 @@
 //                           the pipeline to degrade ShmFlavor::Direct to Copy;
 //   * permanent kill      — one shared-memory domain fail-stops when one of
 //                           its ranks reaches a chosen execution point
-//                           (prefetch issue, commit-chain advance, steal
-//                           attempt, barrier entry).  Every subsequent
-//                           transfer targeting the killed domain fails; the
-//                           RMA layer promotes retry-budget exhaustion
-//                           against it into a team-wide "domain declared
-//                           dead" epoch (RmaStatus::DomainDead) and the
+//                           (prefetch issue, commit-chain advance, barrier
+//                           entry).  Every subsequent transfer targeting
+//                           the killed domain fails; the RMA layer
+//                           promotes retry-budget exhaustion against it
+//                           into a team-wide "domain declared dead" epoch
+//                           (RmaStatus::DomainDead) and the
 //                           distribution/engine layers recover from buddy
 //                           replicas (docs/FAULTS.md §7).
 //
@@ -63,7 +63,6 @@ enum class KillPoint {
   None = 0,
   Prefetch,  ///< a killed-domain rank issues an operand prefetch
   Chain,     ///< a killed-domain rank advances a C-tile commit chain
-  Steal,     ///< a killed-domain rank attempts a task steal (engine only)
   Barrier,   ///< a killed-domain rank enters a team barrier
 };
 

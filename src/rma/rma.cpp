@@ -493,11 +493,4 @@ RmaStatus RmaRuntime::try_wait(Rank& me, RmaHandle& h,
   return wait_impl(me, h, /*throw_on_error=*/false, site);
 }
 
-void RmaRuntime::get2d(Rank& me, int owner, const double* src, index_t ld_src,
-                       index_t rows, index_t cols, double* dst, index_t ld_dst,
-                       std::source_location site) {
-  RmaHandle h = nbget2d(me, owner, src, ld_src, rows, cols, dst, ld_dst, site);
-  wait(me, h, site);
-}
-
 }  // namespace srumma

@@ -240,11 +240,6 @@ class RmaRuntime {
     return retry_;
   }
 
-  /// Blocking variants (issue + immediate wait; zero overlap).
-  void get2d(Rank& me, int owner, const double* src, index_t ld_src,
-             index_t rows, index_t cols, double* dst, index_t ld_dst,
-             std::source_location site = std::source_location::current());
-
   /// The domain-level cooperative block cache, or nullptr when disabled
   /// (the common case — callers null-test it, exactly like the checker and
   /// the fault plane, so a disabled cache perturbs nothing).

@@ -40,22 +40,4 @@ void wait_abortable(std::unique_lock<std::mutex>& lock,
   }
 }
 
-/// Non-throwing park used by waits whose predicate already folds in abort
-/// and kill conditions (the engine's domain boards).  Equivalent to
-/// cv.wait(lock, pred) in threaded mode; fiber-yield polling in pooled
-/// mode.
-template <typename Pred>
-void park_until(std::unique_lock<std::mutex>& lock, std::condition_variable& cv,
-                Pred pred) {
-  if (exec::on_fiber()) {
-    while (!pred()) {
-      lock.unlock();
-      exec::yield();
-      lock.lock();
-    }
-    return;
-  }
-  cv.wait(lock, std::move(pred));
-}
-
 }  // namespace srumma

@@ -65,8 +65,8 @@ MultiplyResult attempt_job(const MachineModel& machine, NodeLease lease,
   } catch (...) {
     // A failed attempt still consumed the lease for its modeled duration.
     // Peers abort at their next cancellation point, so the failure-side
-    // makespan (unlike every successful result) may vary run to run —
-    // the same caveat the engine documents for steal timing.
+    // makespan (unlike every successful result) may vary run to run with
+    // host order (docs/HARNESS.md §4).
     *makespan = st.team().max_clock();
     throw;
   }

@@ -25,7 +25,7 @@ void print_profile(std::ostream& os, Team& team, int max_rows = 16);
 /// `width` virtual-time cells across [t0, t1]; each cell shows the glyph
 /// that covers most of it — C compute, G get, P put/accumulate, W wait,
 /// N noise, B barrier — and '.' when idle.  Other phases (multiply/task
-/// containers, steal, cache, message and service spans) are not drawn.
+/// containers, cache, message, adoption and service spans) are not drawn.
 /// Pass t1 <= t0 to span [0, latest end of a drawn span].  Call when the
 /// recording ranks are quiescent.
 void print_gantt(std::ostream& os, const trace::Tracer& tracer,

@@ -69,11 +69,7 @@ std::string describe(const MultiplyResult& r) {
        << " rearms, " << t.cache_refetches << " refetches), saved "
        << static_cast<double>(t.cache_bytes_saved) / 1e6 << " MB remote";
   }
-  if (t.engine_tasks + t.tasks_stolen > 0) {
-    os << ", engine: " << t.engine_tasks << " owner tasks / "
-       << t.tasks_stolen << " stolen (" << t.steals_denied
-       << " steals denied)";
-  }
+  if (t.engine_tasks > 0) os << ", engine: " << t.engine_tasks << " tasks";
   if (t.rma_domain_dead + t.tasks_adopted > 0) {
     os << ", fail-stop: " << t.rma_domain_dead << " ops drained dead, "
        << t.tasks_adopted << " tasks adopted";

@@ -17,8 +17,6 @@ const char* phase_name(Phase p) {
     case Phase::Redo: return "checksum redo";
     case Phase::Barrier: return "barrier";
     case Phase::Noise: return "os noise";
-    case Phase::Steal: return "steal";
-    case Phase::Handback: return "handback";
     case Phase::Get: return "nbget";
     case Phase::Put: return "nbput";
     case Phase::Acc: return "nbacc";
@@ -27,8 +25,6 @@ const char* phase_name(Phase p) {
     case Phase::CacheRead: return "cache read";
     case Phase::TaskIssue: return "task issue";
     case Phase::TaskReady: return "task ready";
-    case Phase::TaskSteal: return "task stolen";
-    case Phase::StealDenied: return "steal denied";
     case Phase::TaskRearm: return "task rearm";
     case Phase::ShmFallback: return "shm fallback";
     case Phase::Fault: return "fault injected";

@@ -53,10 +53,6 @@ enum class Phase : std::uint8_t {
   Redo,          ///< checksum-verification refetch of a corrupt patch
   Barrier,       ///< time in a barrier beyond own arrival
   Noise,         ///< injected OS daemon preemption
-  Steal,         ///< thief-side execution of a stolen task (fetch -> gemm
-                 ///< -> handback publish; arg = victim's task index)
-  Handback,      ///< owner-side commit of a stolen C tile (wait for the
-                 ///< thief's publish + intra-domain copy-back)
   // -- in-flight communication spans ----------------------------------------
   Get,   ///< one-sided get, issue -> modeled completion
   Put,   ///< one-sided put
@@ -67,9 +63,6 @@ enum class Phase : std::uint8_t {
   // -- instants --------------------------------------------------------------
   TaskIssue,    ///< pipeline issued a task's fetches (arg = task index)
   TaskReady,    ///< engine task's operands all landed (arg = task index)
-  TaskSteal,    ///< engine task claimed by an idle domain mate (arg = index)
-  StealDenied,  ///< steal attempt whose admission test denied every
-                ///< claimable task (arg = first denied victim's rank)
   TaskRearm,    ///< an executor re-armed a task's failed operand fetches
                 ///< in place (arg = task index); one per task_reissues
   ShmFallback,  ///< Direct -> Copy operand degradation (dead domain)

@@ -59,7 +59,7 @@ inline constexpr Variable kVariables[] = {
     {"SRUMMA_FAULT_KILL_AFTER_VTIME", Kind::Real, 0, kInf},
     {"SRUMMA_FAULT_KILL_DOMAIN", Kind::Integer, -1, kInt},
     {"SRUMMA_FAULT_KILL_POINT", Kind::Word, 0, 0,
-     "prefetch|chain|steal|barrier|none"},
+     "prefetch|chain|barrier|none"},
     {"SRUMMA_FAULT_LAST_OP", Kind::Integer, 0, kU64},
     {"SRUMMA_FAULT_MAX_ATTEMPTS", Kind::Integer, 1, kInt},
     {"SRUMMA_FAULT_ONLY_PEER", Kind::Integer, -1, kInt},

@@ -49,13 +49,4 @@ void TableWriter::print(std::ostream& os, const std::string& title) const {
   for (const auto& row : rows_) emit(row);
 }
 
-void TableWriter::print_csv(std::ostream& os) const {
-  auto emit = [&](const std::vector<std::string>& row) {
-    for (std::size_t c = 0; c < row.size(); ++c)
-      os << row[c] << (c + 1 == row.size() ? "\n" : ",");
-  };
-  emit(headers_);
-  for (const auto& row : rows_) emit(row);
-}
-
 }  // namespace srumma

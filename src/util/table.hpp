@@ -2,7 +2,7 @@
 // Plain-text result tables for the benchmark harnesses.
 //
 // Every bench prints the rows the corresponding paper table/figure reports;
-// TableWriter keeps that output aligned and optionally mirrors it to CSV.
+// TableWriter keeps that output aligned.
 
 #include <iosfwd>
 #include <string>
@@ -24,9 +24,6 @@ class TableWriter {
 
   /// Render with box-drawing-free ASCII alignment.
   void print(std::ostream& os, const std::string& title = "") const;
-
-  /// Render as CSV (headers + rows).
-  void print_csv(std::ostream& os) const;
 
   [[nodiscard]] std::size_t row_count() const noexcept { return rows_.size(); }
 

@@ -83,23 +83,17 @@
   /* -- dependency-driven task engine (src/engine, docs/ENGINE.md) ------- */  \
   /* Block products a rank executed for its own C tiles through the engine.    \
      Engine runs reconcile exactly:                                            \
-       engine_tasks + tasks_stolen == copy_tasks + direct_tasks. */            \
+       engine_tasks == copy_tasks + direct_tasks == gemm_calls. */             \
   X(std::uint64_t, engine_tasks, Sum)                                          \
-  /* Block products executed by an idle domain mate on the owner's behalf,     \
-     counted on the thief at handback publish; the owner still commits the     \
-     C tile, so every stolen task also appears in exactly one of               \
-     copy_tasks/direct_tasks (again on the thief). */                          \
+  /* Always 0: the engine no longer steals.  Kept only because bench/e2e       \
+     reads it; it leaves with EngineMode in a benchmark change. */             \
   X(std::uint64_t, tasks_stolen, Sum)                                          \
-  /* try_steal calls that saw claimable work on a mate's board but whose       \
-     virtual-time admission test denied every candidate (docs/ENGINE.md        \
-     §3) — the steals that would have stalled their victims. */                \
-  X(std::uint64_t, steals_denied, Sum)                                         \
   /* Block products replayed by a survivor on behalf of a permanently dead     \
      domain's ranks, from the buddy replicas into scratch; each also appears   \
      in exactly one of copy_tasks/direct_tasks and in gemm_calls, so           \
      recovery runs reconcile as                                                \
-       engine_tasks + tasks_stolen + tasks_adopted                             \
-         == copy_tasks + direct_tasks == gemm_calls. */                        \
+       engine_tasks + tasks_adopted == copy_tasks + direct_tasks               \
+         == gemm_calls. */                                                     \
   X(std::uint64_t, tasks_adopted, Sum)
 // clang-format on
 

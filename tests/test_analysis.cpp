@@ -131,9 +131,8 @@ bool has_kind(const AnalysisReport& rep, FindingKind kind) {
 }
 
 AnalysisConfig mutation_config() {
-  // Copy flavor on a 2-node machine: copy-path fetches exist (DropWait),
-  // multi-link chains exist (ReorderCommit) and the steal board is
-  // populated (AliasStealScratch).
+  // Copy flavor on a 2-node machine: copy-path fetches exist (DropWait)
+  // and multi-link chains exist (ReorderCommit, AdoptChain).
   AnalysisConfig cfg = base_config();
   cfg.options.shm_flavor = ShmFlavor::Copy;
   return cfg;
@@ -177,17 +176,6 @@ TEST(Analysis, MutationWidenGetWindowFlagged) {
   }
 }
 
-TEST(Analysis, MutationAliasStealScratchFlagged) {
-  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-    analysis::PlanModel pm = analysis::build_plan_model(mutation_config());
-    const std::string what =
-        analysis::mutate_plan(pm, Mutation::AliasStealScratch, seed);
-    const AnalysisReport rep = analysis::analyze(pm);
-    EXPECT_FALSE(rep.certified()) << what;
-    EXPECT_TRUE(has_kind(rep, FindingKind::StealProtocol)) << what;
-  }
-}
-
 TEST(Analysis, MutationAdoptChainFlagged) {
   // The recovery-side analogue of reorder-commit (docs/FAULTS.md §7): a
   // survivor adopts a dead rank's tile but replays the chain out of plan
@@ -206,7 +194,7 @@ TEST(Analysis, MutationAdoptChainFlagged) {
 TEST(Analysis, MutationsDeterministic) {
   for (const Mutation mut :
        {Mutation::DropWait, Mutation::ReorderCommit, Mutation::WidenGetWindow,
-        Mutation::AliasStealScratch, Mutation::AdoptChain}) {
+        Mutation::AdoptChain}) {
     analysis::PlanModel pm1 = analysis::build_plan_model(mutation_config());
     analysis::PlanModel pm2 = analysis::build_plan_model(mutation_config());
     EXPECT_EQ(analysis::mutate_plan(pm1, mut, 42),
@@ -407,36 +395,46 @@ TEST(AnalysisHb, LocalBufferConflictDetected) {
 }
 
 TEST(AnalysisHb, RealRunCrossValidates) {
-  // End to end through the real checker: journal a traced run, then the HB
-  // detector must find nothing the epoch model missed.
+  // End to end through the real checker: journal a real run of each
+  // executor, then the HB detector must find nothing the epoch model
+  // missed.  The engine arm runs first, on one harness worker, where all
+  // ranks share one heap: an operand buffer freed before the multiply's
+  // closing barriers would be reallocated to another rank and read as a
+  // race.
   const std::string path =
       ::testing::TempDir() + "/srumma_hb_crosscheck.jsonl";
-  setenv("SRUMMA_RMA_JOURNAL", path.c_str(), 1);
-  {
-    AnalysisConfig cfg = base_config();
-    Team team(cfg.machine);
-    RmaConfig rc;
-    rc.check = true;
-    RmaRuntime rma(team, rc);
-    const ProcGrid grid = ProcGrid::near_square(team.size());
-    Matrix a_global = testing::coords_matrix(cfg.m, cfg.k);
-    Matrix b_global(cfg.k, cfg.n);
-    fill_random(b_global.view(), 9);
-    team.run([&](Rank& me) {
-      DistMatrix a(rma, me, cfg.m, cfg.k, grid);
-      DistMatrix b(rma, me, cfg.k, cfg.n, grid);
-      DistMatrix c(rma, me, cfg.m, cfg.n, grid);
-      a.scatter_from(me, a_global.view());
-      b.scatter_from(me, b_global.view());
-      srumma_multiply(me, a, b, c, SrummaOptions{});
-    });
+  for (const EngineMode mode : {EngineMode::On, EngineMode::Off}) {
+    const char* label = mode == EngineMode::On ? "engine" : "pipeline";
+    setenv("SRUMMA_RMA_JOURNAL", path.c_str(), 1);
+    {
+      AnalysisConfig cfg = base_config();
+      Team team(cfg.machine);
+      if (mode == EngineMode::On) team.set_execution(ExecMode::Pooled, 1);
+      RmaConfig rc;
+      rc.check = true;
+      RmaRuntime rma(team, rc);
+      const ProcGrid grid = ProcGrid::near_square(team.size());
+      Matrix a_global = testing::coords_matrix(cfg.m, cfg.k);
+      Matrix b_global(cfg.k, cfg.n);
+      fill_random(b_global.view(), 9);
+      SrummaOptions opt;
+      opt.engine = mode;
+      team.run([&](Rank& me) {
+        DistMatrix a(rma, me, cfg.m, cfg.k, grid);
+        DistMatrix b(rma, me, cfg.k, cfg.n, grid);
+        DistMatrix c(rma, me, cfg.m, cfg.n, grid);
+        a.scatter_from(me, a_global.view());
+        b.scatter_from(me, b_global.view());
+        srumma_multiply(me, a, b, c, opt);
+      });
+    }
+    unsetenv("SRUMMA_RMA_JOURNAL");
+    const analysis::HbResult res =
+        analysis::analyze_journal(trace::read_journal(path));
+    EXPECT_GT(res.ops.size(), 0u) << label;
+    EXPECT_EQ(res.missed(), 0u) << label;
+    std::remove(path.c_str());
   }
-  unsetenv("SRUMMA_RMA_JOURNAL");
-  const analysis::HbResult res =
-      analysis::analyze_journal(trace::read_journal(path));
-  EXPECT_GT(res.ops.size(), 0u);
-  EXPECT_EQ(res.missed(), 0u);
-  std::remove(path.c_str());
 }
 
 TEST(AnalysisHb, TraceReportJsonIsValidForAnyLabel) {

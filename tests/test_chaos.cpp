@@ -1,7 +1,6 @@
 // Seeded chaos soak: a whole shared-memory domain fail-stops mid-multiply
-// at each kill point (operand prefetch, commit-chain advance, steal
-// attempt, barrier entry) under both executors with the cooperative cache
-// on and off.  Every cell must run to completion, survivors must adopt the
+// at each kill point (operand prefetch, commit-chain advance, barrier
+// entry) under both executors with the cooperative cache on and off.  Every cell must run to completion, survivors must adopt the
 // dead domain's commit chains from the buddy replicas, the gathered C must
 // match the serial reference *bitwise*, and the task ledger must reconcile
 // exactly (adopted work is counted on both sides of the identity).
@@ -110,25 +109,22 @@ const char* point_name(fault::KillPoint p) {
   switch (p) {
     case fault::KillPoint::Prefetch: return "prefetch";
     case fault::KillPoint::Chain: return "chain";
-    case fault::KillPoint::Steal: return "steal";
     case fault::KillPoint::Barrier: return "barrier";
     default: return "none";
   }
 }
 
-// The full sweep: kill point x executor x cache.  Which cells actually
-// trip is deterministic (docs/FAULTS.md §7): Prefetch and Chain trip under
-// both executors, Steal only under the engine (the pipeline never steals),
-// Barrier trips at the recovery pre-barrier.  A cell that cannot trip must
-// degenerate to a fault-free run — same bitwise C, nothing adopted.
+// The full sweep: kill point x executor x cache.  Every cell trips
+// (docs/FAULTS.md §7): Prefetch and Chain inside either executor, Barrier
+// at the recovery pre-barrier.
 TEST(Chaos, KillPointSweepCompletesAndReconciles) {
   constexpr index_t n = 48;
   constexpr std::uint64_t fill_seed = 404;
   const Matrix ref = chaos_reference(n, fill_seed, 1.0, 0.0);
 
-  const fault::KillPoint points[] = {
-      fault::KillPoint::Prefetch, fault::KillPoint::Chain,
-      fault::KillPoint::Steal, fault::KillPoint::Barrier};
+  const fault::KillPoint points[] = {fault::KillPoint::Prefetch,
+                                     fault::KillPoint::Chain,
+                                     fault::KillPoint::Barrier};
   for (const fault::KillPoint kp : points) {
     for (const bool engine : {false, true}) {
       for (const bool cache : {false, true}) {
@@ -149,27 +145,15 @@ TEST(Chaos, KillPointSweepCompletesAndReconciles) {
                 << label << " C(" << i << "," << j << ")";
 
         // Ledger identity, adoption included: every dgemm is exactly one
-        // pipeline task, engine task, steal, or adoption, and each is
-        // classified copy xor direct.
+        // pipeline task, engine task or adoption, and each is classified
+        // copy xor direct.
         EXPECT_EQ(t.copy_tasks + t.direct_tasks, t.gemm_calls) << label;
         if (engine) {
-          EXPECT_EQ(t.engine_tasks + t.tasks_stolen + t.tasks_adopted,
-                    t.gemm_calls)
-              << label;
+          EXPECT_EQ(t.engine_tasks + t.tasks_adopted, t.gemm_calls) << label;
         } else {
           EXPECT_EQ(t.engine_tasks, 0u) << label;
-          EXPECT_EQ(t.tasks_stolen, 0u) << label;
         }
-
-        const bool trips = kp != fault::KillPoint::Steal || engine;
-        if (trips) {
-          EXPECT_GT(t.tasks_adopted, 0u) << label;
-        } else {
-          // pipeline x Steal: the kill point is unreachable — fault-free
-          // run, recovery degenerates to a barrier.
-          EXPECT_EQ(t.tasks_adopted, 0u) << label;
-          EXPECT_EQ(t.rma_domain_dead, 0u) << label;
-        }
+        EXPECT_GT(t.tasks_adopted, 0u) << label;
       }
     }
   }
@@ -238,8 +222,8 @@ TEST(Chaos, SurvivesDeathUnderTransientNoise) {
 
 // Permanent death on top of retry exhaustion: with two attempts per op,
 // transfers keep running out of retries on every path — executor tasks,
-// steals, adopted replays, replica seeds and tile stores — and each is
-// re-armed in place.  (SurvivesDeathUnderTransientNoise's eight attempts
+// adopted replays, replica seeds and tile stores — and each is re-armed in
+// place.  (SurvivesDeathUnderTransientNoise's eight attempts
 // almost never reach the adopter's re-arm path.)
 TEST(Chaos, SurvivesDeathUnderRetryExhaustion) {
   constexpr index_t n = 48;
@@ -272,11 +256,9 @@ TEST(Chaos, SurvivesDeathUnderRetryExhaustion) {
       EXPECT_TRUE(run.rearms_traced) << label;
       EXPECT_EQ(t.copy_tasks + t.direct_tasks, t.gemm_calls) << label;
       if (engine) {
-        EXPECT_EQ(t.engine_tasks + t.tasks_stolen + t.tasks_adopted,
-                  t.gemm_calls)
-            << label;
+        EXPECT_EQ(t.engine_tasks + t.tasks_adopted, t.gemm_calls) << label;
       } else {
-        EXPECT_EQ(t.engine_tasks + t.tasks_stolen, 0u) << label;
+        EXPECT_EQ(t.engine_tasks, 0u) << label;
       }
     }
   }
@@ -337,7 +319,7 @@ TEST(Chaos, KillConfigValidation) {
     EXPECT_THROW(fault::FaultPlane(mm, f), Error);
   }
   {  // a valid configuration constructs and reports itself
-    fault::FaultConfig f = kill_config(fault::KillPoint::Steal);
+    fault::FaultConfig f = kill_config(fault::KillPoint::Prefetch);
     fault::FaultPlane fp(mm, f);
     EXPECT_TRUE(fp.kill_enabled());
     EXPECT_EQ(fp.kill_domain(), 1);

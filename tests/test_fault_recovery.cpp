@@ -533,7 +533,7 @@ TEST(FaultRecovery, ClassificationReconcilesExactlyUnderReArms) {
             pipe.trace.gemm_calls);
   EXPECT_EQ(pipe.trace.direct_tasks, 0u);  // Copy flavor: nothing direct
 
-  // Task engine: the same re-arm and reissue counter, and the steal ledger
+  // Task engine: the same re-arm and reissue counter, and its ledger
   // reconciles against the classes.
   opt.engine = EngineMode::On;
   FaultRun eng = run_fault_multiply(MachineModel::testing(2, 2),
@@ -542,7 +542,7 @@ TEST(FaultRecovery, ClassificationReconcilesExactlyUnderReArms) {
   EXPECT_GT(eng.trace.task_reissues, 0u);
   EXPECT_EQ(eng.trace.copy_tasks + eng.trace.direct_tasks,
             eng.trace.gemm_calls);
-  EXPECT_EQ(eng.trace.engine_tasks + eng.trace.tasks_stolen,
+  EXPECT_EQ(eng.trace.engine_tasks,
             eng.trace.copy_tasks + eng.trace.direct_tasks);
 }
 

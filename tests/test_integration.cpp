@@ -42,7 +42,7 @@ TEST(Integration, SrummaAndSummaProduceTheSameProduct) {
 // Phantom SRUMMA run on a machine; returns team-level result.  Every test
 // built on this helper asserts the static pipeline's timing-model shapes
 // (who wins, what helps, how close to eq. (3)); the task engine's
-// out-of-order/steal schedule legitimately changes those, so pin it off
+// out-of-order schedule legitimately changes those, so pin it off
 // regardless of SRUMMA_ENGINE.  The numerical-agreement tests above/below
 // call srumma_multiply directly and do honor the env selection.
 MultiplyResult run_srumma(Team& team, RmaRuntime& rma, index_t n, ProcGrid g,

@@ -375,7 +375,9 @@ TEST(RmaGet, BlockingGetIncludesTransferTime) {
     SymmetricRegion r = rma.malloc_symmetric(me, 1024);
     me.barrier();
     const double t0 = me.clock().now();
-    rma.get2d(me, 1 - me.id(), r.base(1 - me.id()), 1024, 1024, 1, nullptr, 1024);
+    RmaHandle h = rma.nbget2d(me, 1 - me.id(), r.base(1 - me.id()), 1024,
+                              1024, 1, nullptr, 1024);
+    rma.wait(me, h);
     EXPECT_GE(me.clock().now() - t0,
               mm.net_latency + 1024 * 8.0 / mm.net_bw * 0.99);
   });

@@ -416,7 +416,6 @@ TEST(Tracer, CountersJsonIsByteStable) {
   t.cache_bytes_saved = 35;
   t.engine_tasks = 36;
   t.tasks_stolen = 37;
-  t.steals_denied = 38;
   t.tasks_adopted = 18446744073709551615ull;
   EXPECT_EQ(
       trace::counters_json(t),
@@ -433,7 +432,7 @@ TEST(Tracer, CountersJsonIsByteStable) {
       "\"time_recovery\":27.5,\"cache_hits\":28,\"cache_joins\":29,"
       "\"cache_misses\":30,\"cache_bypasses\":31,\"cache_evictions\":32,"
       "\"cache_rearms\":33,\"cache_refetches\":34,\"cache_bytes_saved\":35,"
-      "\"engine_tasks\":36,\"tasks_stolen\":37,\"steals_denied\":38,"
+      "\"engine_tasks\":36,\"tasks_stolen\":37,"
       "\"tasks_adopted\":18446744073709551615}");
 }
 
@@ -524,9 +523,9 @@ TEST(Tracer, GanttGlyphPerPhase) {
   tr.span(1, Phase::Noise, 7, 8);
   tr.span(1, Phase::Barrier, 8, 9);
   tr.span(1, Phase::Send, 9, 10);
-  // Steal, cache, message and service spans are not drawn either.
-  for (Phase p : {Phase::Steal, Phase::Handback, Phase::CacheRead,
-                  Phase::Recv, Phase::Adopt, Phase::Job, Phase::JobWait})
+  // Cache, message, adoption and service spans are not drawn either.
+  for (Phase p : {Phase::CacheRead, Phase::Recv, Phase::Adopt, Phase::Job,
+                  Phase::JobWait})
     tr.span(2, p, 0, 10);
   tr.instant(2, Phase::TaskIssue, 5);
   tr.counter_add(2, CounterId::InflightOps, 5, 1.0);
