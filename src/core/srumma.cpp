@@ -1,7 +1,6 @@
 #include "core/srumma.hpp"
 
 #include <algorithm>
-#include <optional>
 #include <vector>
 
 #include "engine/engine.hpp"
@@ -44,10 +43,6 @@ void run_pipeline(Rank& me, DistMatrix& a, DistMatrix& b, DistMatrix& c,
   b_state.resize(n_slots);
   std::vector<std::size_t> slot_a(n_slots, 0);
 
-  // The entry barrier in srumma_multiply is the inter-multiply separator
-  // the cache epoch requires.
-  engine::CacheEpoch cache_epoch(
-      me, a, b, engine::executor_cache_cap(me.machine(), plan, lookahead));
   engine::ReissueBudget budget{
       4 * tasks.size() + 16,
       "srumma: operand reissue budget exhausted — transfers keep failing "
@@ -155,15 +150,6 @@ void run_pipeline(Rank& me, DistMatrix& a, DistMatrix& b, DistMatrix& c,
     // an earlier one established on this rank.
     me.trace().buffer_bytes_peak = std::max(me.trace().buffer_bytes_peak, bytes);
   }
-
-  // Close the cache epoch: the last rank out invalidates the domain's
-  // entries (A and B are only guaranteed read-only inside this multiply).
-  // collect_result's barriers separate this from the next begin_epoch.
-  // With a kill configured the entries are kept warm through the close:
-  // the recovery epoch that follows is the same read-only quiescent
-  // period, and adoption replays the panels survivors already fetched.
-  // (kill_active is rank-uniform; whether the kill TRIPPED is not yet.)
-  cache_epoch.close(me, /*keep_warm=*/kill_active);
 }
 
 }  // namespace
@@ -205,15 +191,13 @@ MultiplyResult srumma_multiply(Rank& me, DistMatrix& a, DistMatrix& b,
 
   // Permanent-failure preparation (docs/FAULTS.md §7): when a kill is
   // configured, mirror the operand panels and the beta-applied C onto each
-  // rank's buddy domain and deposit the plan for adoption BEFORE arming
-  // the kill hooks — a domain can then never die with unrecoverable state.
+  // rank's buddy domain BEFORE arming the kill hooks — a domain can then
+  // never die with unrecoverable state.  Its plan needs no record: any
+  // survivor rebuilds it from the layouts.
   fault::FaultPlane* fp = me.team().faults();
   const bool kill_active = fp != nullptr && fp->kill_enabled();
-  std::optional<engine::RecoveryGuard> recovery;
   if (kill_active) {
-    recovery.emplace(me);
     engine::replicate_operands(me, a, b, c, /*mirror_c=*/tuned.beta != 0.0);
-    recovery->deposit(me, plan, tuned);
     fp->arm_kills();
   }
 
@@ -228,12 +212,26 @@ MultiplyResult srumma_multiply(Rank& me, DistMatrix& a, DistMatrix& b,
   std::vector<OperandState> a_state;
   std::vector<OperandState> b_state;
   engine::OperandPool engine_operands;
+  // One cooperative-cache epoch around either executor; the entry barrier
+  // (or replication's publication barrier) is the inter-multiply separator
+  // it requires.  The last rank out invalidates the domain's entries (A
+  // and B are only guaranteed read-only inside this multiply), except
+  // with a kill configured: recovery's epoch continues the same read-only
+  // quiescent period, and adoption replays the panels survivors already
+  // fetched.  (kill_active is rank-uniform; whether the kill TRIPPED is
+  // not yet.)
+  engine::CacheEpoch cache_epoch(
+      me, a, b, engine::executor_cache_cap(me.machine(), plan, lookahead));
   if (engine::selected(tuned.engine)) {
-    engine::run_plan(me, a, b, c, tuned, lookahead, plan, engine_operands);
+    MatrixView mine;
+    if (!c.phantom()) mine = c.local_view(me);
+    me.trace().engine_tasks += engine::run_plan(
+        me, a, b, mine, &c, tuned, lookahead, plan, engine_operands);
   } else {
     run_pipeline(me, a, b, c, tuned, lookahead, plan, a_state, b_state);
   }
-  if (recovery) recovery->run(me, a, b, c);
+  cache_epoch.close(me, /*keep_warm=*/kill_active);
+  if (kill_active) engine::recover(me, a, b, c, opt, engine_operands);
 
   return collect_result(me, start_vt, my_start,
                         gemm_flops(static_cast<double>(c.rows()),

@@ -58,11 +58,11 @@ bool selected(EngineMode mode) {
   return mode == EngineMode::On;
 }
 
-void run_plan(Rank& me, DistMatrix& a, DistMatrix& b, DistMatrix& c,
-              const SrummaOptions& opt, int lookahead, const TaskPlan& plan,
-              OperandPool& pool) {
+std::size_t run_plan(Rank& me, DistMatrix& a, DistMatrix& b, MatrixView c_dst,
+                     DistMatrix* c_decl, const SrummaOptions& opt,
+                     int lookahead, const TaskPlan& plan, OperandPool& pool) {
   trace::Tracer* tr = me.tracer();
-  const bool phantom = c.phantom();
+  const bool phantom = a.phantom();
   const std::vector<Task>& tasks = plan.tasks;
   const std::size_t n_tasks = tasks.size();
 
@@ -92,7 +92,7 @@ void run_plan(Rank& me, DistMatrix& a, DistMatrix& b, DistMatrix& c,
   // when the last consumer commits.  (The a_reuse ordering policy still
   // shapes the plan order — and thus how long a patch stays live — but
   // dedup here is structural, not an ordering accident.)  Each slot's
-  // OperandState lives in `pool`, which outlives this call.
+  // OperandState is appended to `pool`, which outlives this call.
   struct Slot {
     OperandState* st = nullptr;
     DistMatrix* mat = nullptr;  // which matrix the slot's patch is of
@@ -122,13 +122,10 @@ void run_plan(Rank& me, DistMatrix& a, DistMatrix& b, DistMatrix& c,
     slots[static_cast<std::size_t>(a_slot[i])].refs += 1;
     slots[static_cast<std::size_t>(b_slot[i])].refs += 1;
   }
-  pool.states.resize(slots.size());
+  const std::size_t base = pool.states.size();
+  pool.states.resize(base + slots.size());
   for (std::size_t i = 0; i < slots.size(); ++i)
-    slots[i].st = &pool.states[i];
-
-  // -- cooperative block cache epoch (same policy as the static pipeline) ----
-  CacheEpoch cache_epoch(me, a, b, executor_cache_cap(me.machine(), plan,
-                                                       lookahead));
+    slots[i].st = &pool.states[base + i];
 
   // -- executor state --------------------------------------------------------
   // Issue window: how many tasks may hold operand slots at once.  The
@@ -138,7 +135,7 @@ void run_plan(Rank& me, DistMatrix& a, DistMatrix& b, DistMatrix& c,
   const std::size_t window = static_cast<std::size_t>(lookahead) + 1;
   std::uint64_t live_bytes = 0;
   std::uint64_t peak_bytes = 0;
-  // One re-arm budget for the whole multiply.
+  // One re-arm budget for the whole plan.
   ReissueBudget budget{4 * n_tasks + 16,
                        "engine: operand reissue budget exhausted — transfers "
                        "keep failing after RMA retries"};
@@ -216,7 +213,7 @@ void run_plan(Rank& me, DistMatrix& a, DistMatrix& b, DistMatrix& c,
   };
 
   std::vector<int> commits(static_cast<std::size_t>(chains.tiles()), 0);
-  std::size_t committed = 0;          // products landed in my C block
+  std::size_t committed = 0;          // products landed in c_dst
   std::vector<std::size_t> inflight;  // issued, uncommitted tasks
   std::size_t next = 0;               // next plan index to issue
 
@@ -296,9 +293,8 @@ void run_plan(Rank& me, DistMatrix& a, DistMatrix& b, DistMatrix& c,
     if (tr != nullptr)
       tr->instant(me.id(), trace::Phase::TaskReady, me.clock().now(), idx);
     MatrixView c_tile;
-    if (!phantom) c_tile = c.local_view(me).block(t.ci, t.cj, t.cm, t.cn);
-    multiply(me, opt, a, b, &c, t, *sa.st, *sb.st, c_tile);
-    me.trace().engine_tasks += 1;
+    if (!phantom) c_tile = c_dst.block(t.ci, t.cj, t.cm, t.cn);
+    multiply(me, opt, a, b, c_decl, t, *sa.st, *sb.st, c_tile);
     commits[static_cast<std::size_t>(task_tile[idx])] += 1;
     ++committed;
     sa.inflight -= 1;
@@ -356,14 +352,7 @@ void run_plan(Rank& me, DistMatrix& a, DistMatrix& b, DistMatrix& c,
 
   me.trace().buffer_bytes_peak =
       std::max(me.trace().buffer_bytes_peak, peak_bytes);
-
-  // With a kill configured, keep the domain's entries warm through the
-  // close: RecoveryGuard::run (which always follows run_plan then) reopens
-  // the epoch as a continuation of this one — A/B stay read-only until the
-  // result is collected — so adoption replays panels from cache instead of
-  // refetching them.  kill_enabled() is rank-uniform; the tripped state is
-  // not yet, so it must not steer the drop.
-  cache_epoch.close(me, /*keep_warm=*/kill_active);
+  return committed;
 }
 
 }  // namespace srumma::engine

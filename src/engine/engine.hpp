@@ -58,19 +58,26 @@ struct ChainLayout {
 /// freed before collect_result's closing barriers: the happens-before race
 /// detector (docs/ANALYSIS.md) keys local buffers by address, and a buffer
 /// freed earlier could be reallocated to another rank whose fetches into it
-/// no barrier orders after this rank's reads.
+/// no barrier orders after this rank's reads.  Each run_plan call appends
+/// its states, so the rank's own run and a recovery adoption can share one
+/// pool.
 struct OperandPool {
   std::vector<OperandState> states;
   std::vector<Matrix> spare;
 };
 
-/// Execute one rank's task plan through the engine.  Called from
-/// srumma_multiply after tuning, plan construction and the beta pre-scale;
-/// opens and closes its own cooperative-cache epoch, exactly like the
-/// static pipeline.  `opt` is the tuned option set; `lookahead` is the
-/// resolved prefetch depth (0 in blocking mode).  `pool` must start empty.
-void run_plan(Rank& me, DistMatrix& a, DistMatrix& b, DistMatrix& c,
-              const SrummaOptions& opt, int lookahead, const TaskPlan& plan,
-              OperandPool& pool);
+/// Execute one task plan through the engine and return the number of
+/// products it committed.  Two callers: srumma_multiply runs the rank's
+/// own plan into its local C block (`c_decl` = C, so the checker sees the
+/// tile writes), and recovery (engine/recovery.hpp) runs a survivor's
+/// share of a dead domain's chains into an adopter-local scratch
+/// (`c_decl` = nullptr).  Each task's tile is `c_dst.block(ci, cj, cm,
+/// cn)`; `c_dst` is empty in phantom mode.  The caller owns the pool and
+/// the cooperative-cache epoch.  `opt` is the tuned option set;
+/// `lookahead` is the resolved prefetch depth (0 in blocking mode).
+[[nodiscard]] std::size_t run_plan(Rank& me, DistMatrix& a, DistMatrix& b,
+                                   MatrixView c_dst, DistMatrix* c_decl,
+                                   const SrummaOptions& opt, int lookahead,
+                                   const TaskPlan& plan, OperandPool& pool);
 
 }  // namespace srumma::engine

@@ -7,10 +7,10 @@
 // with a (possibly) nonblocking generalized get, optionally routed through
 // the cooperative block cache.  The static pipeline (core/srumma.cpp) owns
 // a rotating pool of these; the dependency-driven engine (engine/engine.cpp)
-// hands each task-graph operand its own refcounted state; recovery
-// adopters hold one pair per task.  All three acquire, settle, re-arm and
-// multiply through the functions below — that is what makes their C
-// results and fault behavior comparable.
+// hands each task-graph operand its own refcounted state, for a rank's own
+// plan and for a recovery adopter's share of a dead domain's chains alike.
+// Both executors acquire, re-arm and multiply through the functions below —
+// that is what makes their C results and fault behavior comparable.
 //
 // Accounting note: acquire() deliberately bumps no task-classification
 // counters.  copy_tasks / direct_tasks count *block products* and are
@@ -87,10 +87,10 @@ void finish_cache(Rank& me, DistMatrix& mat, OperandState& st, bool fetched,
                   bool verify);
 
 /// Cap on re-arm rounds: a transfer that keeps failing after its RMA
-/// retries means a broken configuration, not bad luck.  The executors
-/// share one budget of 4 x tasks + 16 per multiply; a recovery adopter
-/// gives each task, seed and store its own 16, and srumma_multiply's
-/// buddy-replication gets share 16.
+/// retries means a broken configuration, not bad luck.  Each executor run
+/// has one budget of 4 x tasks + 16 (a recovery adopter's plan included);
+/// an adopter gives each replica seed and tile store its own 16, and
+/// srumma_multiply's buddy-replication gets share 16.
 struct ReissueBudget {
   std::size_t cap;
   const char* exhausted;  ///< the error message once `cap` is spent

@@ -2,68 +2,18 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
-#include <map>
-#include <mutex>
-#include <optional>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
-#include "engine/engine.hpp"
+#include "core/task_plan.hpp"
 #include "engine/operand.hpp"
+#include "fault/fault_plane.hpp"
 #include "runtime/team.hpp"
 #include "trace/tracer.hpp"
 #include "util/error.hpp"
 
 namespace srumma::engine {
-
-namespace {
-
-struct Deposit {
-  TaskPlan plan;
-  SrummaOptions opt;
-};
-
-// One adoptable unit of lost work: a dead rank's C tile with its in-plan-
-// order commit chain (indices into the dead rank's deposited plan).
-struct LostChain {
-  int dead_rank = -1;
-  std::vector<std::size_t> task_idxs;
-};
-
-}  // namespace
-
-struct RecoveryGuard::Session {
-  std::mutex mu;
-  std::map<int, Deposit> deposits;  // rank id -> plan + options
-  std::vector<LostChain> chains;    // built once, after the declaration
-  bool chains_built = false;
-  int users = 0;
-};
-
-std::mutex& RecoveryGuard::registry_mu() {
-  static auto* mu = new std::mutex();
-  return *mu;
-}
-
-std::map<Team*, std::shared_ptr<RecoveryGuard::Session>>&
-RecoveryGuard::registry() {
-  static auto* m = new std::map<Team*, std::shared_ptr<Session>>();
-  return *m;
-}
-
-RecoveryGuard::RecoveryGuard(Rank& me) : team_(&me.team()) {
-  std::lock_guard<std::mutex> lk(registry_mu());
-  std::shared_ptr<Session>& slot = registry()[team_];
-  if (!slot) slot = std::make_shared<Session>();
-  slot->users += 1;
-  ses_ = slot;
-}
-
-RecoveryGuard::~RecoveryGuard() {
-  std::lock_guard<std::mutex> lk(registry_mu());
-  if (--ses_->users == 0) registry().erase(team_);
-}
 
 void replicate_operands(Rank& me, DistMatrix& a, DistMatrix& b, DistMatrix& c,
                         bool mirror_c) {
@@ -96,161 +46,122 @@ void replicate_operands(Rank& me, DistMatrix& a, DistMatrix& b, DistMatrix& c,
   me.barrier();
 }
 
-void RecoveryGuard::deposit(Rank& me, const TaskPlan& plan,
-                            const SrummaOptions& opt) {
-  std::lock_guard<std::mutex> lk(ses_->mu);
-  ses_->deposits[me.id()] = Deposit{plan, opt};
-}
-
 namespace {
 
-// Replay a contiguous range of lost chains from the buddy replicas.  Each
-// chain's scratch tile starts from the replica's post-beta snapshot and
-// accumulates the chain's block products in plan order — the exact operand
-// values and op sequence the dead owner would have run — so every
-// reconstructed tile is bitwise the fault-free result.  The final stores
+// A dead rank's tuned options and task plan, rebuilt from the layouts
+// exactly as the rank built them itself.
+struct DeadPlan {
+  int rank = -1;
+  SrummaOptions tuned;
+  TaskPlan plan;
+};
+
+// One adoptable unit of lost work: a dead rank's C tile (global origin)
+// with its in-plan-order commit chain (indices into the dead rank's plan).
+struct LostChain {
+  const DeadPlan* dead = nullptr;
+  index_t gi = 0, gj = 0;
+  std::vector<std::size_t> task_idxs;
+};
+
+// Adopt the chains [lo, hi) from the buddy replicas.  The share runs as
+// ONE task plan through run_plan: each chain's tasks in plan order, its
+// tile moved to its own row band of one stacked scratch matrix.  Each band
+// starts from the replica's post-beta snapshot, so every reconstructed
+// tile is bitwise the fault-free result: the exact operand values and op
+// sequence the dead owner would have run.  Operand dedup, fetch re-arm and
+// the issue window are run_plan's, so the replay pays max(comm, compute)
+// across chain boundaries like the executors do.  The final stores
 // redirect into the buddy's replica (the dead ranks' own segments are
 // unreachable), which is where gather_to contributes dead-domain blocks
 // from.
-//
-// The whole range runs as ONE flat task stream through a single prefetch
-// ring: operand fetches for up to `depth` upcoming tasks are in flight
-// across chain boundaries while earlier tasks compute, seeds are all
-// issued up front, and the tile stores drain together at the end — so the
-// replay pays max(comm, compute) like the executors do, not per-chain
-// round trips (this is what keeps the recovery-overhead bar in
-// BENCH_chaos.json within reach).
-void adopt_range(Rank& me, DistMatrix& a, DistMatrix& b, DistMatrix& c,
-                 const std::vector<LostChain>& chains, std::size_t lo,
-                 std::size_t hi, const std::map<int, Deposit>& deposits) {
+void adopt(Rank& me, DistMatrix& a, DistMatrix& b, DistMatrix& c,
+           const std::vector<LostChain>& chains, std::size_t lo,
+           std::size_t hi, OperandPool& pool) {
   if (lo >= hi) return;
+  trace::SpanGuard adopt_span(me.tracer(), me.id(), trace::Phase::Adopt,
+                              me.clock(), hi - lo);
   const bool phantom = c.phantom();
-
   struct Tile {
-    const LostChain* ch;
-    const Deposit* dep;
-    index_t gi, gj, cm, cn;
-    Matrix scratch;
-    MatrixView sv;
-    PatchHandle seed;
-    bool seeded;
-    PatchHandle store;
-  };
-  struct Item {
-    const Task* t;
-    std::size_t idx;  // index in the dead rank's plan (TaskRearm arg)
-    std::size_t tile;
-    bool first, last;
+    index_t gi, gj, band, cm, cn;
+    std::size_t first, last;  // the chain's span of the adopted plan
+    PatchHandle seed, store;
   };
   std::vector<Tile> tiles;
-  std::vector<Item> stream;
-  tiles.reserve(hi - lo);
+  TaskPlan share;
+  index_t rows = 0;
+  index_t cols = 0;
   for (std::size_t ci = lo; ci < hi; ++ci) {
     const LostChain& ch = chains[ci];
-    SRUMMA_ASSERT(!ch.task_idxs.empty(), "recovery: empty commit chain");
-    const Deposit& dep = deposits.at(ch.dead_rank);
-    const Task& t0 = dep.plan.tasks[ch.task_idxs.front()];
-    Tile tl;
-    tl.ch = &ch;
-    tl.dep = &dep;
-    tl.gi = c.block_row_start(ch.dead_rank) + t0.ci;
-    tl.gj = c.block_col_start(ch.dead_rank) + t0.cj;
-    tl.cm = t0.cm;
-    tl.cn = t0.cn;
-    // The scratch seed is the replica's post-beta snapshot.  With beta == 0
-    // that snapshot is identically zero — srumma_multiply skipped the C
-    // mirror bytes entirely — so the seed is a local zero fill, no wire.
-    tl.seeded = dep.opt.beta != 0.0;
-    if (!phantom) {
-      tl.scratch = Matrix(t0.cm, t0.cn);
-      tl.sv = tl.scratch.block(0, 0, t0.cm, t0.cn);
-      if (!tl.seeded) tl.sv.fill(0.0);
+    const Task& t0 = ch.dead->plan.tasks[ch.task_idxs.front()];
+    const std::size_t first = share.tasks.size();
+    tiles.push_back(Tile{ch.gi, ch.gj, rows, t0.cm, t0.cn, first,
+                         first + ch.task_idxs.size() - 1, {}, {}});
+    for (const std::size_t k : ch.task_idxs) {
+      Task t = ch.dead->plan.tasks[k];
+      t.ci = rows;
+      t.cj = 0;
+      share.tasks.push_back(t);
     }
-    tiles.push_back(std::move(tl));
-    const std::size_t tix = tiles.size() - 1;
-    for (std::size_t k = 0; k < ch.task_idxs.size(); ++k)
-      stream.push_back(Item{&dep.plan.tasks[ch.task_idxs[k]],
-                            ch.task_idxs[k], tix, k == 0,
-                            k + 1 == ch.task_idxs.size()});
+    rows += t0.cm;
+    cols = std::max(cols, t0.cn);
   }
-  // All seeds up front: the gets overlap each other, the operand prefetch
-  // ring below, and the first chains' compute.  Transient faults on the
-  // (live) buddy path retry like any executor fetch, at first use.
-  for (Tile& tl : tiles)
-    if (tl.seeded) tl.seed = c.fetch_nb(me, tl.gi, tl.gj, tl.cm, tl.cn, tl.sv);
-
-  const std::size_t depth = std::min<std::size_t>(
-      stream.size(),
-      std::max<std::size_t>(
-          4, static_cast<std::size_t>(tiles.front().dep->opt.lookahead) + 2));
-  struct Inflight {
-    OperandState sa;
-    OperandState sb;
+  Matrix scratch;
+  MatrixView dst;
+  if (!phantom) {
+    scratch = Matrix(rows, cols);
+    dst = scratch.view();
+  }
+  const auto band = [&](const Tile& tl) {
+    return phantom ? MatrixView{} : dst.block(tl.band, 0, tl.cm, tl.cn);
   };
-  std::vector<Inflight> fl(depth);
-  const auto issue = [&](std::size_t i) {
-    const Task& t = *stream[i].t;
-    const SrummaOptions& opt = tiles[stream[i].tile].dep->opt;
-    Inflight& f = fl[i % depth];
-    acquire(me, a, t.a_i0, t.a_j0, t.a_m, t.a_n, opt.shm_flavor, f.sa);
-    acquire(me, b, t.b_i0, t.b_j0, t.b_m, t.b_n, opt.shm_flavor, f.sb);
-  };
-  for (std::size_t i = 0; i < depth; ++i) issue(i);
 
-  std::optional<trace::SpanGuard> adopt_span;
-  for (std::size_t ti = 0; ti < stream.size(); ++ti) {
-    const Task& t = *stream[ti].t;
-    Tile& tl = tiles[stream[ti].tile];
-    const SrummaOptions& opt = tl.dep->opt;
-    if (stream[ti].first) {
-      adopt_span.emplace(me.tracer(), me.id(), trace::Phase::Adopt,
-                         me.clock(),
-                         static_cast<std::uint64_t>(tl.ch->dead_rank));
-      ReissueBudget seed_budget{
+  // With beta == 0 the post-beta snapshot is identically zero —
+  // srumma_multiply skipped the C mirror bytes entirely — and so is the
+  // fresh scratch, so no seed goes on the wire.  Otherwise every seed is
+  // issued at once and all land before the run.
+  const SrummaOptions& opt = chains[lo].dead->tuned;
+  if (opt.beta != 0.0) {
+    for (Tile& tl : tiles)
+      tl.seed = c.fetch_nb(me, tl.gi, tl.gj, tl.cm, tl.cn, band(tl));
+    for (Tile& tl : tiles) {
+      ReissueBudget budget{
           16, "recovery: replica seed fetch keeps failing after retries"};
-      while (tl.seeded && !c.try_wait(me, tl.seed)) {
-        seed_budget.charge(me, stream[ti].idx);
-        tl.seed = c.fetch_nb(me, tl.gi, tl.gj, tl.cm, tl.cn, tl.sv);
+      while (!c.try_wait(me, tl.seed)) {
+        budget.charge(me, tl.first);
+        tl.seed = c.fetch_nb(me, tl.gi, tl.gj, tl.cm, tl.cn, band(tl));
       }
     }
-    OperandState& sa = fl[ti % depth].sa;
-    OperandState& sb = fl[ti % depth].sb;
-    // An adopter is a survivor: its own domain is never the killed one, so
-    // settle always delivers.
-    ReissueBudget budget{
-        16, "recovery: adopted-task operand keeps failing after retries"};
-    const bool settled =
-        settle(me, a, b, t, opt, sa, sb, budget, stream[ti].idx);
-    SRUMMA_ASSERT(settled, "recovery: adopter's own domain is dead");
-    // Scratch is adopter-local, so the C-tile write is not declared
-    // against put epochs; the store below is.
-    multiply(me, opt, a, b, nullptr, t, sa, sb, tl.sv);
-    me.trace().tasks_adopted += 1;
-    if (ti + depth < stream.size()) issue(ti + depth);
-    if (stream[ti].last) {
-      // Tile complete: launch the store and move on — the next chain's
-      // operands are already in the ring; all stores drain below.
-      tl.store = c.store_nb(me, tl.gi, tl.gj, tl.cm, tl.cn, tl.sv);
-      adopt_span.reset();
-    }
   }
+  // An issue window of max(4, L + 2) tasks, L being the tuned lookahead of
+  // the first chain's owner.  The scratch is adopter-local, so the tile
+  // writes are not declared against put epochs (c_decl = nullptr); the
+  // stores below are.
+  me.trace().tasks_adopted +=
+      run_plan(me, a, b, dst, nullptr, opt, std::max(3, opt.lookahead + 1),
+               share, pool);
+  for (Tile& tl : tiles)
+    tl.store = c.store_nb(me, tl.gi, tl.gj, tl.cm, tl.cn, band(tl));
   for (Tile& tl : tiles) {
-    ReissueBudget store_budget{
+    ReissueBudget budget{
         16, "recovery: reconstructed-tile store keeps failing after retries"};
     while (!c.try_wait(me, tl.store)) {
-      store_budget.charge(me, tl.ch->task_idxs.back());
-      tl.store = c.store_nb(me, tl.gi, tl.gj, tl.cm, tl.cn, tl.sv);
+      budget.charge(me, tl.last);
+      tl.store = c.store_nb(me, tl.gi, tl.gj, tl.cm, tl.cn, band(tl));
     }
   }
+  // Parked with the operand buffers, so the scratch outlives the closing
+  // barriers too.
+  pool.spare.push_back(std::move(scratch));
 }
 
 }  // namespace
 
-void RecoveryGuard::run(Rank& me, DistMatrix& a, DistMatrix& b,
-                        DistMatrix& c) {
+void recover(Rank& me, DistMatrix& a, DistMatrix& b, DistMatrix& c,
+             const SrummaOptions& opt, OperandPool& pool) {
   fault::FaultPlane* fp = me.team().faults();
   SRUMMA_REQUIRE(fp != nullptr && fp->kill_enabled(),
-                 "recovery: run() needs a fault plane with a kill configured");
+                 "recovery: needs a fault plane with a kill configured");
   // Pre-barrier: every survivor's plan is committed, every zombie has
   // drained.  This is also where a Barrier kill point trips.
   me.barrier();
@@ -299,46 +210,43 @@ void RecoveryGuard::run(Rank& me, DistMatrix& a, DistMatrix& b,
   CacheEpoch cache_epoch(me, a, b, cache_cap, /*keep_warm=*/true);
 
   if (!zombie) {
-    // Build the chain list once: every dead rank's commit chains, in
-    // deterministic (rank, tile) order.  chain_layout is the same grouping
-    // the engine executes and the static analyzer certifies, so repaired
-    // chains inherit the audited plan-order structure.
-    {
-      std::lock_guard<std::mutex> lk(ses_->mu);
-      if (!ses_->chains_built) {
-        for (const auto& [r, dep] : ses_->deposits) {
-          if (mm.domain_of(r) != kd) continue;
-          const ChainLayout cl = chain_layout(dep.plan);
-          for (const std::vector<std::size_t>& chain : cl.tile_tasks) {
-            LostChain lc;
-            lc.dead_rank = r;
-            lc.task_idxs = chain;
-            ses_->chains.push_back(std::move(lc));
-          }
-        }
-        // Order chains by global C tile COLUMN (then dead rank, then row):
-        // every chain of one column replays against the same B panels, so
-        // a contiguous range handed to one adopter domain needs only that
-        // column slice of the dead B working set — instead of pulling the
-        // whole dead B column range through the buddy domain's NIC once
-        // per adopter domain.
-        std::stable_sort(
-            ses_->chains.begin(), ses_->chains.end(),
-            [&](const LostChain& x, const LostChain& y) {
-              const Task& tx = ses_->deposits.at(x.dead_rank)
-                                   .plan.tasks[x.task_idxs.front()];
-              const Task& ty = ses_->deposits.at(y.dead_rank)
-                                   .plan.tasks[y.task_idxs.front()];
-              const index_t xj = c.block_col_start(x.dead_rank) + tx.cj;
-              const index_t yj = c.block_col_start(y.dead_rank) + ty.cj;
-              if (xj != yj) return xj < yj;
-              if (x.dead_rank != y.dead_rank) return x.dead_rank < y.dead_rank;
-              return c.block_row_start(x.dead_rank) + tx.ci <
-                     c.block_row_start(y.dead_rank) + ty.ci;
-            });
-        ses_->chains_built = true;
+    // Every dead rank's plan, rebuilt from the layouts, and its commit
+    // chains in deterministic (rank, tile) order.  chain_layout is the
+    // same grouping the engine executes and the static analyzer certifies,
+    // so repaired chains inherit the audited plan-order structure.
+    std::vector<DeadPlan> dead;
+    for (int r = 0; r < mm.total_ranks(); ++r) {
+      if (mm.domain_of(r) != kd) continue;
+      DeadPlan dp;
+      dp.rank = r;
+      dp.tuned = tune_options(r, mm, a.layout(), b.layout(), c.layout(), opt);
+      dp.plan =
+          build_task_plan(r, mm, a.layout(), b.layout(), c.layout(), dp.tuned);
+      dead.push_back(std::move(dp));
+    }
+    std::vector<LostChain> chains;
+    for (const DeadPlan& dp : dead) {
+      ChainLayout cl = chain_layout(dp.plan);
+      for (std::vector<std::size_t>& chain : cl.tile_tasks) {
+        const Task& t0 = dp.plan.tasks[chain.front()];
+        chains.push_back(LostChain{&dp, c.block_row_start(dp.rank) + t0.ci,
+                                   c.block_col_start(dp.rank) + t0.cj,
+                                   std::move(chain)});
       }
     }
+    // Order chains by global C tile COLUMN (then dead rank, then row):
+    // every chain of one column replays against the same B panels, so a
+    // contiguous range handed to one adopter domain needs only that column
+    // slice of the dead B working set — instead of pulling the whole dead
+    // B column range through the buddy domain's NIC once per adopter
+    // domain.
+    std::stable_sort(chains.begin(), chains.end(),
+                     [](const LostChain& x, const LostChain& y) {
+                       if (x.gj != y.gj) return x.gj < y.gj;
+                       if (x.dead->rank != y.dead->rank)
+                         return x.dead->rank < y.dead->rank;
+                       return x.gi < y.gi;
+                     });
     // Deterministic affinity-weighted contiguous assignment over the
     // survivors (a real-time claim race would let one OS thread grab most
     // chains before the others arrive, piling every other survivor's
@@ -364,9 +272,8 @@ void RecoveryGuard::run(Rank& me, DistMatrix& a, DistMatrix& b,
     // the domain count).
     const int buddy_dom = (kd + fp->buddy_offset()) % mm.num_domains();
     std::vector<int> dead_rows, dead_cols;
-    for (int r = 0; r < mm.total_ranks(); ++r) {
-      if (mm.domain_of(r) != kd) continue;
-      const auto [pi, pj] = c.grid().coords_of(r);
+    for (const DeadPlan& dp : dead) {
+      const auto [pi, pj] = c.grid().coords_of(dp.rank);
       dead_rows.push_back(pi);
       dead_cols.push_back(pj);
     }
@@ -395,12 +302,12 @@ void RecoveryGuard::run(Rank& me, DistMatrix& a, DistMatrix& b,
       total_w += w;
     }
     SRUMMA_ASSERT(my_lo_w >= 0, "recovery: survivor not in survivor list");
-    const std::size_t nc = ses_->chains.size();
+    const std::size_t nc = chains.size();
     const std::size_t lo = nc * static_cast<std::size_t>(my_lo_w) /
                            static_cast<std::size_t>(total_w);
     const std::size_t hi = nc * static_cast<std::size_t>(my_lo_w + my_w) /
                            static_cast<std::size_t>(total_w);
-    adopt_range(me, a, b, c, ses_->chains, lo, hi, ses_->deposits);
+    adopt(me, a, b, c, chains, lo, hi, pool);
   }
 
   cache_epoch.close(me);
