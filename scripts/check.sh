@@ -47,7 +47,9 @@
 #   1i. permanent domain death (docs/FAULTS.md §7): every kill point x
 #       executor through the SRUMMA_FAULT_KILL_* environment knobs under
 #       the RMA checker — buddy replication + task adoption must recover
-#       the exact result with zero checker diagnostics;
+#       the exact result with zero checker diagnostics; then the same six
+#       runs journaled on one harness worker and cross-validated by the
+#       happens-before race detector (--trace);
 #   1j. the GEMM request plane (docs/SERVICE.md): the service suite under
 #       the shadow-state RMA checker (every concurrent sub-team's epochs
 #       verified independently), then under low-rate env fault injection
@@ -327,6 +329,26 @@ for point in prefetch chain barrier; do
   done
 done
 echo "kill sweep: 3 points x 2 executors recovered exactly, checker silent"
+# The same sweep journaled on one harness worker, where every rank shares
+# one heap: an adopter buffer freed before the recovery's closing barrier
+# would be reallocated to another rank, and the happens-before race
+# detector (srumma-analyze --trace) would flag it on every run.
+for point in prefetch chain barrier; do
+  for engine in 0 1; do
+    journal="$trace_dir/journal_kill_${point}_${engine}_1w.jsonl"
+    SRUMMA_ENGINE="$engine" SRUMMA_HARNESS_THREADS=1 SRUMMA_RMA_CHECK=1 \
+    SRUMMA_RMA_JOURNAL="$journal" \
+    SRUMMA_FAULT_KILL_DOMAIN=1 SRUMMA_FAULT_KILL_POINT="$point" \
+    SRUMMA_FAULT_BUDDY_OFFSET=1 \
+      "$build/examples/quickstart" --n 96 --nodes 4 > /dev/null \
+      || { echo "check.sh: 1-worker kill run failed: point=$point" \
+                "engine=$engine"; exit 1; }
+    "$analyze" --trace "$journal" > /dev/null \
+      || { echo "check.sh: HB race detector flagged the 1-worker kill run:" \
+                "point=$point engine=$engine"; exit 1; }
+  done
+done
+echo "kill sweep: 3 points x 2 executors on 1 worker cross-validated by HB"
 
 echo
 echo "== tier 1j: request plane under checker + fault injection =="

@@ -7,7 +7,6 @@
 #include "core/srumma.hpp"
 #include "dist/dist_matrix.hpp"
 #include "dist/grid.hpp"
-#include "trace/chrome_trace.hpp"
 #include "util/error.hpp"
 
 namespace srumma::service {
@@ -84,12 +83,6 @@ std::vector<trace::TrackInfo> node_tracks(const MachineModel& machine) {
   return tracks;
 }
 
-trace::TracerConfig service_tracer_config(const ServiceConfig& cfg) {
-  trace::TracerConfig tc;
-  tc.path = cfg.trace_path;
-  return tc;
-}
-
 }  // namespace
 
 const char* priority_name(JobPriority p) {
@@ -126,7 +119,7 @@ GemmService::GemmService(MachineModel machine, ServiceConfig cfg)
     : machine_(std::move(machine)),
       cfg_(std::move(cfg)),
       partition_(machine_.num_nodes),
-      tracer_(node_tracks(machine_), service_tracer_config(cfg_)) {
+      tracer_(node_tracks(machine_), trace::TracerConfig{}) {
   SRUMMA_REQUIRE(cfg_.flops_per_node > 0, "flops_per_node must be positive");
   SRUMMA_REQUIRE(cfg_.batch_max >= 1, "batch_max must be at least 1");
   SRUMMA_REQUIRE(cfg_.retries >= 0, "retries must be non-negative");
@@ -393,11 +386,6 @@ ServiceMetrics GemmService::metrics() const {
     m.mean_wait = wait_sum / static_cast<double>(m.completed);
   }
   return m;
-}
-
-bool GemmService::flush_trace() {
-  if (cfg_.trace_path.empty()) return true;
-  return trace::write_chrome_trace_file(cfg_.trace_path, tracer_);
 }
 
 MultiplyResult run_standalone(const MachineModel& machine, int nodes,

@@ -25,7 +25,6 @@
 #include <cstdint>
 #include <optional>
 #include <queue>
-#include <string>
 #include <vector>
 
 #include "core/options.hpp"
@@ -66,9 +65,6 @@ struct ServiceConfig {
   /// the request plane existed.  bench_service measures the concurrent
   /// plane against this.
   bool serialize = false;
-  /// Chrome-trace path for the service-level job spans (flush_trace()
-  /// writes it; empty = record-only).
-  std::string trace_path;
 
   /// Options forwarded to every srumma_multiply (ta/tb/alpha/beta are
   /// overridden per job from its spec).
@@ -127,10 +123,9 @@ class GemmService {
   [[nodiscard]] ServiceMetrics metrics() const;
 
   /// Service-level tracer: one track per parent node, Job/JobWait spans and
-  /// JobArrive/JobReject/JobRetry instants.
+  /// JobArrive/JobReject/JobRetry instants (record-only; write it with
+  /// trace::write_chrome_trace_file).
   [[nodiscard]] trace::Tracer& tracer() noexcept { return tracer_; }
-  /// Write the job-span Chrome trace to cfg.trace_path (no-op when empty).
-  bool flush_trace();
 
  private:
   struct Entry {

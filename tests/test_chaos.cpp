@@ -8,8 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "core/srumma.hpp"
+#include "core/task_plan.hpp"
 #include "fault/fault_plane.hpp"
 #include "trace/report.hpp"
 #include "trace/tracer.hpp"
@@ -284,6 +286,90 @@ TEST(Chaos, ExecutorsAgreeBitwiseOnAdoptedTiles) {
     for (index_t i = 0; i < n; ++i)
       ASSERT_EQ(a.c.view()(i, j), b.c.view()(i, j))
           << "C(" << i << "," << j << ")";
+}
+
+// One C = alpha op(A) B + beta C multiply of m x n x k on the same machine
+// with uniform [-1, 1) data.  Unlike the small-integer fills above, a
+// different accumulation order or k split rounds differently, so only a
+// replay of the dead owner's own plan — its tuned tiling, in plan order —
+// reproduces the fault-free bits.  `c_chunks`, when given, receives every
+// rank's tuned c_chunk.
+ChaosRun run_real_multiply(const RmaConfig& cfg, const SrummaOptions& opt,
+                           index_t m, index_t n, index_t k,
+                           std::vector<index_t>* c_chunks = nullptr) {
+  const MachineModel mm = MachineModel::testing(4, 2);
+  const ProcGrid grid{4, 2};
+  Team team(mm);
+  RmaRuntime rma(team, cfg);
+  const bool tra = opt.ta == blas::Trans::Yes;
+  const index_t am = tra ? k : m;
+  const index_t an = tra ? m : k;
+  Matrix a_global(am, an), b_global(k, n), c_global(m, n);
+  fill_random(a_global.view(), 1101);
+  fill_random(b_global.view(), 1102);
+  fill_random(c_global.view(), 1103);
+  ChaosRun out{Matrix(m, n), {}};
+  team.run([&](Rank& me) {
+    DistMatrix a(rma, me, am, an, grid);
+    DistMatrix b(rma, me, k, n, grid);
+    DistMatrix c(rma, me, m, n, grid);
+    a.scatter_from(me, a_global.view());
+    b.scatter_from(me, b_global.view());
+    c.scatter_from(me, c_global.view());
+    if (c_chunks != nullptr)
+      (*c_chunks)[static_cast<std::size_t>(me.id())] =
+          tune_options(me.id(), me.machine(), a.layout(), b.layout(),
+                       c.layout(), opt)
+              .c_chunk;
+    srumma_multiply(me, a, b, c, opt);
+    c.gather_to(me, out.c.view());
+  });
+  out.trace = team.total_trace();
+  return out;
+}
+
+// A killed run's C must be bitwise the fault-free run's C on real data, at
+// every kill point x executor x cache, with op(A) transposed and not.  The
+// buffer budget makes the dead domain tune a different tiling than the
+// adopters, so an adopter that rebuilt the lost plans with its own rank id
+// would replay the wrong chains.
+TEST(Chaos, AdoptedTilesMatchFaultFreeBitwise) {
+  constexpr index_t m = 61, n = 53, k = 47;
+  const fault::KillPoint points[] = {fault::KillPoint::Prefetch,
+                                     fault::KillPoint::Chain,
+                                     fault::KillPoint::Barrier};
+  for (const bool trans_a : {false, true}) {
+    for (const bool engine : {false, true}) {
+      for (const bool cache : {false, true}) {
+        const std::string cfg_label = std::string(trans_a ? "At" : "A") +
+                                      (engine ? "/engine" : "/pipeline") +
+                                      (cache ? "/cache" : "/nocache");
+        SrummaOptions opt;
+        opt.ta = trans_a ? blas::Trans::Yes : blas::Trans::No;
+        opt.alpha = 1.3;
+        opt.beta = 0.7;
+        opt.max_buffer_bytes = 20000;
+        opt.engine = engine ? EngineMode::On : EngineMode::Off;
+        RmaConfig clean;
+        clean.cache = cache;
+        std::vector<index_t> chunks(8);
+        const ChaosRun ref = run_real_multiply(clean, opt, m, n, k, &chunks);
+        // Domain 1 (ranks 2, 3) dies; ranks 4-7 tune another tiling.
+        ASSERT_NE(chunks[2], chunks[4]) << cfg_label;
+        for (const fault::KillPoint kp : points) {
+          const std::string label = cfg_label + "/" + point_name(kp);
+          RmaConfig cfg = clean;
+          cfg.faults = kill_config(kp);
+          const ChaosRun run = run_real_multiply(cfg, opt, m, n, k);
+          EXPECT_GT(run.trace.tasks_adopted, 0u) << label;
+          for (index_t j = 0; j < n; ++j)
+            for (index_t i = 0; i < m; ++i)
+              ASSERT_EQ(run.c.view()(i, j), ref.c.view()(i, j))
+                  << label << " C(" << i << "," << j << ")";
+        }
+      }
+    }
+  }
 }
 
 // Install-time validation (docs/FAULTS.md): a kill configuration that can
