@@ -18,9 +18,10 @@
 //   * a failed operand is re-armed in place (fresh fetch, task stays where
 //     it is), as in every executor (engine/operand.hpp).
 //
-// Each rank runs its own plan and shares nothing with its domain mates
-// except through RMA, the block cache and the fault plane, so its modeled
-// timing depends on host order exactly as the pipeline's does.
+// Each call runs one plan — a rank's own, or a recovery adopter's share of
+// a dead domain's chains — and shares nothing with domain mates except
+// through RMA, the block cache and the fault plane, so its modeled timing
+// depends on host order exactly as the pipeline's does.
 
 #include <cstddef>
 #include <vector>
