@@ -10,6 +10,13 @@
 # the identical schema — the row params record the sizes actually used.
 # Pass --full for paper-sized runs.
 #
+# Every bench but bench_scale runs pooled on one harness worker
+# (SRUMMA_HARNESS_THREADS=1), the reproducible reference of docs/MODEL.md
+# §2: at more workers host order decides contended bookings, so modeled
+# rows, and bars such as the chaos fault-free ratio, vary from run to run.
+# bench_scale keeps the default worker count, because its bar is the
+# pooled harness's host throughput.
+#
 # Usage: scripts/bench_report.sh [--full] [build-dir]
 # Exits non-zero if a bench fails or an emitted file does not validate.
 
@@ -41,9 +48,11 @@ for entry in "${benches[@]}"; do
   id="${entry%%:*}"
   bin="${entry#*:}"
   out="$repo/BENCH_${id}.json"
-  echo "== $bin -> $out (smoke=$smoke) =="
-  SRUMMA_BENCH_SMOKE="$smoke" SRUMMA_BENCH_JSON="$out" "$build/bench/$bin" \
-    > /dev/null
+  workers=(SRUMMA_HARNESS_THREADS=1)
+  [[ "$id" == scale ]] && workers=()
+  echo "== $bin -> $out (smoke=$smoke${workers:+, one worker}) =="
+  env "${workers[@]}" SRUMMA_BENCH_SMOKE="$smoke" SRUMMA_BENCH_JSON="$out" \
+    "$build/bench/$bin" > /dev/null
   [[ -s "$out" ]] || { echo "bench_report: $out was not written"; exit 1; }
 done
 

@@ -4,6 +4,10 @@
 #   1b. an ASan/UBSan build of the library running the kernel-verification
 #       harness (test_gemm_kernels), the pooled fiber harness and its stack
 #       cache (test_harness_pool), the task-plan suite (test_task_plan),
+#       the multiply suite (test_srumma), whose plan memo keeps plan
+#       storage alive on C across multiplies, the virtual-time suite
+#       (test_vtime), whose cache-line-aligned Resource needs aligned new
+#       and delete,
 #       the fault and chaos suites (test_fault_recovery, test_chaos),
 #       whose operand re-arms re-target live, shared operand buffers, and
 #       the one-sided suites (test_rma, test_dist, test_msg, test_ga),
@@ -87,17 +91,18 @@ cmake --build "$build" -j "$jobs"
 ctest --test-dir "$build" --output-on-failure -j "$jobs"
 
 echo
-echo "== tier 1b: kernels, fiber harness, task plans, fault re-arm, one-sided layer under ASan/UBSan ($asan_build), dispatch =="
+echo "== tier 1b: kernels, fiber harness, task plans and their memo, Resource, fault re-arm, one-sided layer under ASan/UBSan ($asan_build), dispatch =="
 cmake -B "$asan_build" -S "$repo" \
   -DSRUMMA_SANITIZE=address,undefined \
   -DSRUMMA_BUILD_BENCH=OFF \
   -DSRUMMA_BUILD_EXAMPLES=OFF
 cmake --build "$asan_build" -j "$jobs" \
   --target test_gemm_kernels --target test_harness_pool --target test_task_plan \
+  --target test_srumma --target test_vtime \
   --target test_fault_recovery --target test_chaos \
   --target test_rma --target test_dist --target test_msg --target test_ga
 ctest --test-dir "$asan_build" --output-on-failure \
-  -R '^(test_gemm_kernels|test_harness_pool|test_task_plan|test_fault_recovery|test_chaos|test_rma|test_dist|test_msg|test_ga)$'
+  -R '^(test_gemm_kernels|test_harness_pool|test_task_plan|test_srumma|test_vtime|test_fault_recovery|test_chaos|test_rma|test_dist|test_msg|test_ga)$'
 # A silently failed -mavx512f probe would drop the kernel from the registry
 # and fall back to avx2 without any test failing; catch it here.
 if grep -qw avx512f /proc/cpuinfo 2> /dev/null; then

@@ -33,6 +33,8 @@ struct OrderingPolicy {
   /// Aggregate-initialized policies ({a, b, c}) leave it off.
   bool a_group = false;
 
+  bool operator==(const OrderingPolicy&) const = default;
+
   [[nodiscard]] static OrderingPolicy naive() {
     return {false, false, false, false};
   }
@@ -105,6 +107,10 @@ struct SrummaOptions {
   /// multiply survives corrupt transfers at the cost of a local memory scan
   /// per fetched patch.  No effect on direct-access or phantom operands.
   bool verify_checksums = false;
+
+  /// Field-wise, so a field added later is part of the plan memo's key
+  /// (PlanMemo, core/srumma.hpp) without anyone listing it.
+  bool operator==(const SrummaOptions&) const = default;
 };
 
 }  // namespace srumma

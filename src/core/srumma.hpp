@@ -30,7 +30,28 @@
 
 namespace srumma {
 
+/// Steps 1-2 for one rank, kept on the C operand (DistMatrix::plan_memo).
+/// tune_options and build_task_plan are pure in (rank, machine, layouts,
+/// options), and C fixes the machine and its own layout, so a multiply
+/// into the same C whose Key equals the memo's reuses the tuned options and
+/// the plan; any other multiply plans afresh and replaces the memo, which
+/// is const once built.
+struct PlanMemo {
+  struct Key {
+    int rank = -1;
+    MatrixLayout a;
+    MatrixLayout b;
+    SrummaOptions opt;  ///< the caller's, before tuning
+    bool operator==(const Key&) const = default;
+  };
+  Key key;
+  SrummaOptions tuned;
+  TaskPlan plan;
+};
+
 /// Parallel matrix multiplication; returns identical results on all ranks.
+/// Keeps this rank's task plan on `c` (PlanMemo), so repeating a multiply
+/// into the same C plans only once.
 MultiplyResult srumma_multiply(Rank& me, DistMatrix& a, DistMatrix& b,
                                DistMatrix& c,
                                const SrummaOptions& opt = SrummaOptions{});

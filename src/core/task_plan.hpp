@@ -79,6 +79,13 @@ struct TaskPlan {
 /// (c_chunk, k_chunk).  Pure in the machine/layout inputs, so the analyzer
 /// sees the pipeline depth the run would use.  Tuning is per rank — block
 /// extents differ — so team-wide static bounds take the max.
+///
+/// Purity is a contract shared with build_task_plan: both read only the
+/// rank id, the machine model, the three layouts and the options — no
+/// environment variable, no fault-plane state (a dead domain changes who
+/// runs a plan, not the plan), no clock and no trace.  srumma_multiply
+/// keeps their result on C (PlanMemo) and reuses it for every later
+/// multiply with equal inputs; a new input must join the memo's key.
 [[nodiscard]] SrummaOptions tune_options(int rank, const MachineModel& mm,
                                          const MatrixLayout& a,
                                          const MatrixLayout& b,

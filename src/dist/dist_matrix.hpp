@@ -23,6 +23,7 @@
 // communication costs — the model-only benches run N=16000-class problems
 // through the identical code path this way.
 
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -64,6 +65,8 @@ struct MatrixLayout {
   MatrixLayout(index_t m_, index_t n_, ProcGrid g)
       : m(m_), n(n_), grid(g), rows(m_, g.p), cols(n_, g.q) {}
 
+  bool operator==(const MatrixLayout&) const = default;
+
   /// Owning rank of global element (i, j).
   [[nodiscard]] int owner(index_t i, index_t j) const {
     return grid.rank_of(rows.owner(i), cols.owner(j));
@@ -96,6 +99,10 @@ struct MatrixLayout {
       const MachineModel& mm, int rank, index_t i0, index_t j0, index_t mi,
       index_t nj) const;
 };
+
+/// srumma_multiply's per-rank plan memo (core/srumma.hpp).  Declared here
+/// only so a C operand can hold one: dist never looks inside.
+struct PlanMemo;
 
 class DistMatrix {
  public:
@@ -267,6 +274,14 @@ class DistMatrix {
 
   [[nodiscard]] RmaRuntime& rma() noexcept { return *rma_; }
 
+  /// The task plan srumma_multiply last built for this rank with this
+  /// matrix as C (empty until then).  A repeated multiply into the same C
+  /// reuses it instead of planning again; core owns what it holds and when
+  /// it is replaced.
+  [[nodiscard]] std::shared_ptr<const PlanMemo>& plan_memo() noexcept {
+    return plan_memo_;
+  }
+
  private:
   /// One owner-block intersection of a global rectangle.  When the true
   /// owner's domain has been declared dead (and the matrix is replicated),
@@ -304,6 +319,7 @@ class DistMatrix {
   SymmetricRegion replica_;  ///< buddy replica storage (empty until alloc)
   bool replica_allocated_ = false;
   bool phantom_ = false;
+  std::shared_ptr<const PlanMemo> plan_memo_;
 };
 
 }  // namespace srumma

@@ -23,6 +23,7 @@ struct ProcGrid {
   int q = 1;  ///< grid cols
 
   [[nodiscard]] int size() const noexcept { return p * q; }
+  bool operator==(const ProcGrid&) const = default;
   [[nodiscard]] int rank_of(int pi, int pj) const {
     SRUMMA_REQUIRE(pi >= 0 && pi < p && pj >= 0 && pj < q,
                    "grid coords out of range");
@@ -48,6 +49,7 @@ class BlockDist1D {
 
   [[nodiscard]] index_t total() const noexcept { return n_; }
   [[nodiscard]] int parts() const noexcept { return parts_; }
+  bool operator==(const BlockDist1D&) const = default;
 
   [[nodiscard]] index_t start(int part) const {
     SRUMMA_REQUIRE(part >= 0 && part <= parts_, "part out of range");

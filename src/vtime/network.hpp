@@ -30,7 +30,8 @@ class NetworkState {
   void advance_frontier(double watermark);
 
  private:
-  // unique_ptr so Resource (which holds a lock) never moves.
+  // unique_ptr so Resource (which holds a lock) never moves; each one is
+  // allocated on its own cache line (Resource is alignas(64)).
   std::vector<std::unique_ptr<Resource>> nic_out_;
   std::vector<std::unique_ptr<Resource>> nic_in_;
   std::vector<std::unique_ptr<Resource>> domain_mem_;

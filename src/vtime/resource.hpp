@@ -42,6 +42,10 @@
 //    then yield the OS thread, so a holder that lost its CPU (one OS
 //    thread per rank, or an oversubscribed host) still gets to run.
 //    Nothing parks a fiber while holding it: book() never yields.
+//  - A Resource fills its own cache line (alignas(64)): the 48 bytes of
+//    lock, interval vector and atomics of one NIC would otherwise share a
+//    line with a neighbouring NIC's, and two workers booking different
+//    NICs would still bounce that line between their cores.
 
 #include <atomic>
 #include <cstddef>
@@ -82,7 +86,7 @@ class SpinLock {
   std::atomic<bool> locked_{false};
 };
 
-class Resource {
+class alignas(64) Resource {
  public:
   /// Reserve the earliest feasible [start, start+duration) with
   /// start >= ready; returns the completion time (start + duration).

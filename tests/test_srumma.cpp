@@ -5,6 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <optional>
+#include <string>
+#include <vector>
+
 #include "core/srumma.hpp"
 #include "tests/helpers.hpp"
 
@@ -495,6 +500,240 @@ TEST(Srumma, NonblockingBeatsBlockingOnClusters) {
     }
   });
   EXPECT_LT(t_nb, t_bl);
+}
+
+// ---------------------------------------------------------------------------
+// The plan memo (PlanMemo, core/srumma.hpp): a multiply into a C that holds
+// this rank's plan for equal inputs skips tune_options and build_task_plan.
+// Reusing the plan must change nothing that is modeled, and a multiply that
+// differs in any keyed input must plan afresh.  Every run is pooled on one
+// harness worker, so modeled numbers are reproducible and comparable.
+
+constexpr index_t kMemoN = 24;
+
+struct MemoCase {
+  const char* label;
+  SrummaOptions first;
+  SrummaOptions second;
+  ProcGrid a2_grid{2, 2};  ///< grid of the second multiply's A
+  ProcGrid b2_grid{2, 2};  ///< grid of the second multiply's B
+  index_t k2 = kMemoN;     ///< inner dimension of the second multiply
+};
+
+struct MemoRun {
+  Matrix c{kMemoN, kMemoN};
+  Matrix ref{kMemoN, kMemoN};
+  TraceCounters trace;
+  double max_clock = 0.0;
+  int ranks_reused = 0;  ///< ranks whose second multiply kept their memo
+};
+
+// C = A*B, then C2 = op(A2)*op(B2) into C again (`same_c`) or into a fresh
+// D.  Both variants allocate the same matrices in the same order, so they
+// differ only in which matrix receives the second product.  A2 and B2 are
+// A and B themselves unless the case changes a layout.
+MemoRun memo_run(const MemoCase& mc, EngineMode mode, bool cache,
+                 bool same_c) {
+  const ProcGrid grid{2, 2};
+  const index_t n = kMemoN;
+  Team team(MachineModel::testing(2, 2));
+  team.set_execution(ExecMode::Pooled, 1);
+  RmaConfig cfg;
+  cfg.cache = cache;
+  RmaRuntime rma(team, cfg);
+  SrummaOptions first = mc.first;
+  SrummaOptions second = mc.second;
+  first.engine = mode;
+  second.engine = mode;
+
+  const bool new_operands =
+      mc.a2_grid != grid || mc.b2_grid != grid || mc.k2 != n;
+  const bool tra = second.ta == Trans::Yes;
+  const bool trb = second.tb == Trans::Yes;
+  Matrix a_g(n, n), b_g(n, n);
+  fill_random(a_g.view(), 1);
+  fill_random(b_g.view(), 2);
+  Matrix a2_g = a_g;
+  Matrix b2_g = b_g;
+  if (new_operands) {
+    a2_g = Matrix(tra ? mc.k2 : n, tra ? n : mc.k2);
+    b2_g = Matrix(trb ? n : mc.k2, trb ? mc.k2 : n);
+    fill_random(a2_g.view(), 3);
+    fill_random(b2_g.view(), 4);
+  }
+
+  MemoRun out;
+  out.ref.view().fill(0.0);
+  testing::reference_gemm(second.ta, second.tb, second.alpha, a2_g, b2_g,
+                          0.0, out.ref);
+  std::vector<int> reused(static_cast<std::size_t>(team.size()), 0);
+  team.run([&](Rank& me) {
+    DistMatrix a(rma, me, n, n, grid);
+    DistMatrix b(rma, me, n, n, grid);
+    DistMatrix c(rma, me, n, n, grid);
+    DistMatrix d(rma, me, n, n, grid);
+    a.scatter_from(me, a_g.view());
+    b.scatter_from(me, b_g.view());
+    std::optional<DistMatrix> a2, b2;
+    if (new_operands) {
+      a2.emplace(rma, me, a2_g.rows(), a2_g.cols(), mc.a2_grid);
+      b2.emplace(rma, me, b2_g.rows(), b2_g.cols(), mc.b2_grid);
+      a2->scatter_from(me, a2_g.view());
+      b2->scatter_from(me, b2_g.view());
+    }
+    (void)srumma_multiply(me, a, b, c, first);
+    // Holding the first memo keeps its address from being reused, so an
+    // equal pointer below means the very same memo.
+    const std::shared_ptr<const PlanMemo> kept = c.plan_memo();
+    EXPECT_NE(kept, nullptr);
+    DistMatrix& target = same_c ? c : d;
+    (void)srumma_multiply(me, a2 ? *a2 : a, b2 ? *b2 : b, target, second);
+    reused[static_cast<std::size_t>(me.id())] = target.plan_memo() == kept;
+    target.gather_to(me, out.c.view());
+  });
+  out.trace = team.total_trace();
+  out.max_clock = team.max_clock();
+  for (int r : reused) out.ranks_reused += r;
+  return out;
+}
+
+void expect_same_run(const MemoRun& got, const MemoRun& fresh,
+                     const std::string& label, index_t tolerance_k = kMemoN) {
+  EXPECT_EQ(max_abs_diff(got.c.view(), fresh.c.view()), 0.0) << label;
+  EXPECT_EQ(got.max_clock, fresh.max_clock) << label;
+#define SRUMMA_EXPECT_SAME(type, name, agg) \
+  EXPECT_EQ(got.trace.name, fresh.trace.name) << label << ": " #name;
+  SRUMMA_TRACE_COUNTERS(SRUMMA_EXPECT_SAME)
+#undef SRUMMA_EXPECT_SAME
+  EXPECT_LE(max_abs_diff(got.c.view(), got.ref.view()),
+            testing::gemm_tolerance(tolerance_k))
+      << label;
+}
+
+std::string memo_label(const char* what, EngineMode mode, bool cache) {
+  return std::string(what) +
+         (mode == EngineMode::On ? " / engine" : " / pipeline") +
+         (cache ? " / cache" : "");
+}
+
+TEST(SrummaPlanMemo, RepeatedMultiplyReusesThePlanAndChangesNothing) {
+  const MemoCase mc{"repeat", {}, {}};
+  for (EngineMode mode : {EngineMode::Off, EngineMode::On}) {
+    for (bool cache : {false, true}) {
+      const std::string label = memo_label(mc.label, mode, cache);
+      const MemoRun same = memo_run(mc, mode, cache, /*same_c=*/true);
+      const MemoRun fresh = memo_run(mc, mode, cache, /*same_c=*/false);
+      EXPECT_EQ(same.ranks_reused, 4) << label;
+      expect_same_run(same, fresh, label);
+    }
+  }
+}
+
+TEST(SrummaPlanMemo, ChangedKeyRebuildsThePlan) {
+  std::vector<MemoCase> cases;
+  auto add = [&](const char* label, auto&& edit) {
+    MemoCase mc{label, {}, {}};
+    mc.first.c_chunk = 6;
+    mc.second = mc.first;
+    edit(mc);
+    cases.push_back(mc);
+  };
+  add("c_chunk", [](MemoCase& mc) { mc.second.c_chunk = 12; });
+  add("k_chunk", [](MemoCase& mc) { mc.second.k_chunk = 4; });
+  add("ta", [](MemoCase& mc) { mc.second.ta = Trans::Yes; });
+  add("a_reuse", [](MemoCase& mc) { mc.second.ordering.a_reuse = false; });
+  add("A grid", [](MemoCase& mc) { mc.a2_grid = ProcGrid{1, 4}; });
+  add("B grid", [](MemoCase& mc) { mc.b2_grid = ProcGrid{4, 1}; });
+  add("A and B shape", [](MemoCase& mc) { mc.k2 = 40; });
+  for (const MemoCase& mc : cases) {
+    for (EngineMode mode : {EngineMode::Off, EngineMode::On}) {
+      const std::string label = memo_label(mc.label, mode, false);
+      const MemoRun same = memo_run(mc, mode, false, /*same_c=*/true);
+      const MemoRun fresh = memo_run(mc, mode, false, /*same_c=*/false);
+      EXPECT_EQ(same.ranks_reused, 0) << label;
+      expect_same_run(same, fresh, label);
+    }
+  }
+}
+
+TEST(SrummaPlanMemo, ScfChainKeepsOnePlanPerResult) {
+  // examples/scf_like: tmp = H*C, then F = 0.5*C^T*tmp + 0.5*F, twice.  tmp
+  // is C of one multiply and B of the next, which must leave its memo
+  // alone.  The reference run drops both memos before every multiply, which
+  // makes each one plan as a fresh C would.
+  const index_t n = kMemoN;
+  const ProcGrid grid{2, 2};
+  Matrix h_g(n, n), c_g(n, n);
+  fill_random(h_g.view(), 11);
+  fill_random(c_g.view(), 12);
+  SrummaOptions first;
+  SrummaOptions second;
+  second.ta = Trans::Yes;
+  second.alpha = 0.5;
+  second.beta = 0.5;
+  Matrix tmp_ref(n, n);
+  MemoRun expected;
+  expected.ref.view().fill(0.0);
+  for (int it = 0; it < 2; ++it) {
+    testing::reference_gemm(first.ta, first.tb, 1.0, h_g, c_g, 0.0, tmp_ref);
+    testing::reference_gemm(second.ta, second.tb, 0.5, c_g, tmp_ref, 0.5,
+                            expected.ref);
+  }
+
+  // Returns F as `c`.
+  const auto run = [&](EngineMode mode, bool keep_memo) {
+    Team team(MachineModel::testing(2, 2));
+    team.set_execution(ExecMode::Pooled, 1);
+    RmaRuntime rma(team);
+    SrummaOptions o1 = first;
+    SrummaOptions o2 = second;
+    o1.engine = mode;
+    o2.engine = mode;
+    MemoRun out = expected;
+    std::vector<int> reused(static_cast<std::size_t>(team.size()), 0);
+    team.run([&](Rank& me) {
+      DistMatrix hd(rma, me, n, n, grid);
+      DistMatrix cd(rma, me, n, n, grid);
+      DistMatrix tmp(rma, me, n, n, grid);
+      DistMatrix fd(rma, me, n, n, grid);
+      hd.scatter_from(me, h_g.view());
+      cd.scatter_from(me, c_g.view());
+      MatrixView mine = fd.local_view(me);
+      mine.fill(0.0);
+      // tmp's memo after each multiply that reads tmp as B, and F's memo
+      // after each multiply into F, must be the ones their first multiply
+      // as C built.
+      std::shared_ptr<const PlanMemo> tmp_memo, f_memo;
+      bool same = true;
+      for (int it = 0; it < 2; ++it) {
+        if (!keep_memo) tmp.plan_memo().reset();
+        (void)srumma_multiply(me, hd, cd, tmp, o1);
+        if (it == 0) tmp_memo = tmp.plan_memo();
+        EXPECT_NE(tmp.plan_memo(), nullptr);
+        if (!keep_memo) fd.plan_memo().reset();
+        (void)srumma_multiply(me, cd, tmp, fd, o2);
+        if (it == 0) f_memo = fd.plan_memo();
+        EXPECT_NE(fd.plan_memo(), nullptr);
+        same = same && tmp.plan_memo() == tmp_memo &&
+               fd.plan_memo() == f_memo;
+      }
+      reused[static_cast<std::size_t>(me.id())] = same;
+      fd.gather_to(me, out.c.view());
+    });
+    out.trace = team.total_trace();
+    out.max_clock = team.max_clock();
+    for (int r : reused) out.ranks_reused += r;
+    return out;
+  };
+
+  for (EngineMode mode : {EngineMode::Off, EngineMode::On}) {
+    const std::string label = memo_label("scf chain", mode, false);
+    const MemoRun kept = run(mode, true);
+    const MemoRun dropped = run(mode, false);
+    EXPECT_EQ(kept.ranks_reused, 4) << label;
+    EXPECT_EQ(dropped.ranks_reused, 0) << label;
+    expect_same_run(kept, dropped, label, 2 * n);
+  }
 }
 
 }  // namespace
