@@ -1,24 +1,23 @@
-// Straggler absorption: the dependency-driven task engine (src/engine,
-// docs/ENGINE.md) vs the static pipeline when one node's link runs slow.
+// Straggler absorption: the executor's two operand lifetimes (src/engine,
+// docs/ENGINE.md) when one node's link runs slow.
 //
 // The fault plane multiplies the wire time of every inter-node transfer
 // touching one node (FaultConfig::straggler_node) — the paper's "slow
-// switch port / flaky NIC" scenario.  The static pipeline consumes its
-// fetches in plan order, so one 8x-delayed patch stalls every product
-// queued behind it.  The engine executes C tiles out of order (whatever
-// operands arrive first) and dedups shared operand patches, while each
-// tile's products still commit in plan order, so C stays bitwise
-// identical.
+// switch port / flaky NIC" scenario.  Both arms run the identical plan, in
+// plan order, on the identical machine and fault stream.  The pipeline
+// arm keeps a fetched patch while an issued task reads it (the window
+// lifetime, the paper's double buffer), so a B patch read again by the
+// next C tile row is fetched again, straggler link and all.  The engine
+// arm keeps each patch until its last reader commits (the plan
+// lifetime), so it fetches it once.  C stays bitwise identical.
 //
-// Both arms run the identical plan on the identical machine and fault
-// stream; only the executor differs.  Reported per arm: modeled elapsed
-// virtual time, GFLOP/s, and the task ledger, which must reconcile
-// exactly: engine_tasks == copy_tasks + direct_tasks == gemm_calls on the
-// engine arm.
+// Reported per arm: modeled elapsed virtual time, GFLOP/s, and the task
+// ledger, which must reconcile exactly: engine_tasks == copy_tasks +
+// direct_tasks == gemm_calls on the engine arm.
 //
-// Expected: >= 1.3x lower elapsed virtual time with the engine on, all of
-// it from out-of-order execution.  (The bench keeps its name from the
-// intra-domain work stealing it once measured.)
+// Expected: >= 1.3x lower elapsed virtual time for the engine arm.  (The
+// bench keeps its name from the intra-domain work stealing it once
+// measured.)
 
 #include <iostream>
 
@@ -42,9 +41,9 @@ Arm run_arm(const MachineModel& machine, EngineMode mode, index_t n,
   cfg.faults = faults;
   Testbed tb(machine, cfg);
   SrummaOptions opt = platform_options(tb.team.machine());
-  // Several C tiles per rank so the engine has reorder freedom, and a
-  // k-grain fine enough that each tile chain crosses both the healthy and
-  // the straggler-owned operand panels.
+  // Several C tiles per rank, so each B patch is read once per C tile row,
+  // and a k-grain fine enough that each tile chain crosses both the
+  // healthy and the straggler-owned operand panels.
   opt.c_chunk = n / 16;
   opt.engine = mode;
   Arm arm;
@@ -59,8 +58,8 @@ Arm run_arm(const MachineModel& machine, EngineMode mode, index_t n,
 int main() {
   using namespace srumma;
   using namespace srumma::bench;
-  std::cout << "Dependency-driven engine vs static pipeline with one "
-               "straggler node (8x wire time on its link)\n\n";
+  std::cout << "Plan vs window operand lifetime (engine vs pipeline) with "
+               "one straggler node (8x wire time on its link)\n\n";
   const MachineModel machine = MachineModel::linux_myrinet(4);
   const index_t n = smoke_n(1024, 256);
   const int straggler = 1;
@@ -81,7 +80,7 @@ int main() {
                             {"straggler_node", static_cast<double>(straggler)},
                             {"straggler_factor", 8.0},
                             {"engine", a.label[0] == 'e' ? 1.0 : 0.0}};
-    // The overall bound covers both executors, so one emitted ceiling is
+    // The overall bound covers both lifetimes, so one emitted ceiling is
     // valid for the pipeline and the engine arm alike.
     SrummaOptions aopt = platform_options(machine);
     aopt.c_chunk = n / 16;

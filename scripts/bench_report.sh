@@ -113,10 +113,12 @@ for m in ("cluster", "sp"):
         f"cache/{m}: off arm reported cache savings"
 print("BENCH_cache.json: cache acceptance bar ok (cluster, sp)")
 
-# BENCH_steal.json carries the task engine's acceptance bar
-# (docs/ENGINE.md): with one 8x straggler node, the engine arm, which
-# runs C tiles out of order, must be >= 1.3x faster in virtual time than
-# the static pipeline, and its ledger must reconcile exactly —
+# BENCH_steal.json carries the operand lifetimes' acceptance bar
+# (docs/ENGINE.md §3): with one 8x straggler node, the engine arm, whose
+# plan lifetime holds each patch until its last reader and so fetches it
+# once, must be >= 1.3x faster in virtual time than the pipeline arm, the
+# window lifetime of the paper's double buffer (both run in plan order),
+# and its ledger must reconcile exactly —
 # engine_tasks == copy_tasks + direct_tasks == gemm_calls.
 with open(sys.argv[6]) as f:
     steal = json.load(f)
@@ -183,8 +185,9 @@ for label, row in rows.items():
             f"{COMMITTED_ENGINE_KILLED_S[label]*1e3:.2f} ms")
     assert c["tasks_adopted"] > 0, \
         f"chaos/{label}: killed arm adopted nothing"
-# Fault-free, the engine must keep pace with the paper's pipeline: it only
-# reorders its own C tiles, so the 5% slack is jitter only.
+# Fault-free, the plan lifetime must keep pace with the paper's double
+# buffer: it runs the same plan order and only holds patches longer, so
+# the 5% slack is jitter only.
 ff = {e: rows[f"{e}_faultfree"]["metrics"]["elapsed_s"]
       for e in ("engine", "pipeline")}
 assert ff["engine"] <= 1.05 * ff["pipeline"], (

@@ -7,7 +7,9 @@
 #       the multiply suite (test_srumma), whose plan memo keeps plan
 #       storage alive on C across multiplies, the virtual-time suite
 #       (test_vtime), whose cache-line-aligned Resource needs aligned new
-#       and delete,
+#       and delete, the executor and analyzer suites (test_engine,
+#       test_analysis), whose operand slots are released and reused in
+#       place within one multiply,
 #       the fault and chaos suites (test_fault_recovery, test_chaos),
 #       whose operand re-arms re-target live, shared operand buffers, and
 #       the one-sided suites (test_rma, test_dist, test_msg, test_ga),
@@ -34,22 +36,22 @@
 #       SRUMMA_CACHE=1, then cache x RMA checker, then cache x fault
 #       injection (faults-labeled suites excluded, as in 1d) — caching
 #       must be invisible to every correctness, checker, and fault path;
-#   1g. the dependency-driven task engine (docs/ENGINE.md): the
+#   1g. the plan operand lifetime (docs/ENGINE.md): the
 #       SRUMMA-executing suites with SRUMMA_ENGINE=1, so every multiply
-#       runs out of order across C tiles — C must stay bitwise identical
-#       and the engine ledger must reconcile (test_block_cache is
-#       excluded: its single-flight sharing test pins the pipeline's
-#       fetch schedule, which the engine's operand-slot dedup
+#       holds each fetched patch until its last reader — C must stay
+#       bitwise identical and the engine ledger must reconcile
+#       (test_block_cache is excluded: its single-flight sharing test pins
+#       the window lifetime's fetch schedule, which holding patches
 #       legitimately changes); then test_engine 10x under 4-way parallel
 #       load at 1 and at 3 harness workers;
 #   1h. the static plan analyzer (docs/ANALYSIS.md): srumma-analyze must
 #       certify a sweep of clean configurations with zero findings, flag
 #       all four seeded plan-mutation classes, and cross-validate the
-#       dynamic RMA checker on journaled runs of both executors, the
-#       engine also on one harness worker, via the happens-before race
-#       detector (--trace);
+#       dynamic RMA checker on journaled runs of both operand lifetimes,
+#       the plan lifetime also on one harness worker, via the
+#       happens-before race detector (--trace);
 #   1i. permanent domain death (docs/FAULTS.md §7): every kill point x
-#       executor through the SRUMMA_FAULT_KILL_* environment knobs under
+#       lifetime through the SRUMMA_FAULT_KILL_* environment knobs under
 #       the RMA checker — buddy replication + task adoption must recover
 #       the exact result with zero checker diagnostics; then the same six
 #       runs journaled on one harness worker and cross-validated by the
@@ -91,7 +93,7 @@ cmake --build "$build" -j "$jobs"
 ctest --test-dir "$build" --output-on-failure -j "$jobs"
 
 echo
-echo "== tier 1b: kernels, fiber harness, task plans and their memo, Resource, fault re-arm, one-sided layer under ASan/UBSan ($asan_build), dispatch =="
+echo "== tier 1b: kernels, fiber harness, task plans and their memo, Resource, executor and analyzer, fault re-arm, one-sided layer under ASan/UBSan ($asan_build), dispatch =="
 cmake -B "$asan_build" -S "$repo" \
   -DSRUMMA_SANITIZE=address,undefined \
   -DSRUMMA_BUILD_BENCH=OFF \
@@ -99,10 +101,11 @@ cmake -B "$asan_build" -S "$repo" \
 cmake --build "$asan_build" -j "$jobs" \
   --target test_gemm_kernels --target test_harness_pool --target test_task_plan \
   --target test_srumma --target test_vtime \
+  --target test_engine --target test_analysis \
   --target test_fault_recovery --target test_chaos \
   --target test_rma --target test_dist --target test_msg --target test_ga
 ctest --test-dir "$asan_build" --output-on-failure \
-  -R '^(test_gemm_kernels|test_harness_pool|test_task_plan|test_srumma|test_vtime|test_fault_recovery|test_chaos|test_rma|test_dist|test_msg|test_ga)$'
+  -R '^(test_gemm_kernels|test_harness_pool|test_task_plan|test_srumma|test_vtime|test_engine|test_analysis|test_fault_recovery|test_chaos|test_rma|test_dist|test_msg|test_ga)$'
 # A silently failed -mavx512f probe would drop the kernel from the registry
 # and fall back to avx2 without any test failing; catch it here.
 if grep -qw avx512f /proc/cpuinfo 2> /dev/null; then
@@ -235,17 +238,17 @@ SRUMMA_FAULT_MAX_ATTEMPTS=20 \
   ctest --test-dir "$build" --output-on-failure -j "$jobs" -LE faults
 
 echo
-echo "== tier 1g: dependency-driven engine across the multiply suites =="
-# Forces the engine executor (docs/ENGINE.md) through every suite that
-# drives srumma_multiply.  Its execution order differs from the
-# pipeline's, C does not, so correctness, checker, fault and accounting
+echo "== tier 1g: plan operand lifetime across the multiply suites =="
+# Forces the plan lifetime (docs/ENGINE.md) through every suite that
+# drives srumma_multiply.  Its fetch schedule differs from the window
+# lifetime's, C does not, so correctness, checker, fault and accounting
 # assertions must all hold unchanged.
-# test_block_cache asserts the pipeline's exact fetch schedule
-# (single-flight share counts), which operand-slot dedup changes, so it
-# stays a pipeline-only suite.
+# test_block_cache asserts the window lifetime's exact fetch schedule
+# (single-flight share counts), which holding patches changes, so it
+# stays a window-lifetime suite.
 SRUMMA_ENGINE=1 ctest --test-dir "$build" --output-on-failure \
   -R '^(test_engine|test_srumma|test_task_plan|test_fault_recovery|test_integration|test_rma_checker)$'
-# The engine's suite under host load: 10 rounds of 4 parallel test_engine
+# The executor's suite under host load: 10 rounds of 4 parallel test_engine
 # copies, at one harness worker and at three, so a host-order dependence
 # in its results (bitwise C, the exact ledger, the reproducible
 # one-worker straggler timing) shows up as a failure.
@@ -297,12 +300,13 @@ for mut in drop-wait reorder-commit widen-get adopt-chain; do
   fi
 done
 echo "analyzer: all 4 seeded mutation classes flagged"
-# Happens-before cross-validation: journal real runs of both executors
-# under the dynamic checker, then prove the epoch-based checker missed no
-# race the HB model finds (srumma-analyze --trace exits nonzero on a miss).
-# The engine runs again on one harness worker, where every rank shares one
-# heap, so an operand buffer freed before the closing barriers would be
-# reallocated to another rank and flagged here on every run.
+# Happens-before cross-validation: journal real runs of both operand
+# lifetimes under the dynamic checker, then prove the epoch-based checker
+# missed no race the HB model finds (srumma-analyze --trace exits nonzero
+# on a miss).  The plan lifetime runs again on one harness worker, where
+# every rank shares one heap, so an operand buffer freed before the closing
+# barriers would be reallocated to another rank and flagged here on every
+# run.
 SRUMMA_RMA_CHECK=1 SRUMMA_RMA_JOURNAL="$trace_dir/journal_pipeline.jsonl" \
   "$build/examples/quickstart" --n 96 --nodes 2 > /dev/null
 "$analyze" --trace "$trace_dir/journal_pipeline.jsonl" > /dev/null
@@ -314,11 +318,11 @@ SRUMMA_ENGINE=1 SRUMMA_HARNESS_THREADS=1 SRUMMA_RMA_CHECK=1 \
 SRUMMA_RMA_JOURNAL="$trace_dir/journal_engine_1w.jsonl" \
   "$build/examples/quickstart" --n 96 --nodes 2 > /dev/null
 "$analyze" --trace "$trace_dir/journal_engine_1w.jsonl" > /dev/null
-echo "analyzer: HB race detector cross-validated both executors' journals"
+echo "analyzer: HB race detector cross-validated both lifetimes' journals"
 
 echo
 echo "== tier 1i: permanent-kill sweep under the RMA checker =="
-# Every kill point x executor through the SRUMMA_FAULT_* environment path
+# Every kill point x lifetime through the SRUMMA_FAULT_* environment path
 # (docs/FAULTS.md §7): domain 1 of a 4-node cluster fail-stops mid-run,
 # survivors adopt its work from the buddy replicas, and quickstart's
 # serial-reference comparison proves the recovered C exact while the
@@ -333,7 +337,7 @@ for point in prefetch chain barrier; do
            exit 1; }
   done
 done
-echo "kill sweep: 3 points x 2 executors recovered exactly, checker silent"
+echo "kill sweep: 3 points x 2 lifetimes recovered exactly, checker silent"
 # The same sweep journaled on one harness worker, where every rank shares
 # one heap: an adopter buffer freed before the recovery's closing barrier
 # would be reallocated to another rank, and the happens-before race
@@ -353,7 +357,7 @@ for point in prefetch chain barrier; do
                 "point=$point engine=$engine"; exit 1; }
   done
 done
-echo "kill sweep: 3 points x 2 executors on 1 worker cross-validated by HB"
+echo "kill sweep: 3 points x 2 lifetimes on 1 worker cross-validated by HB"
 
 echo
 echo "== tier 1j: request plane under checker + fault injection =="

@@ -1,6 +1,7 @@
 #include "analysis/analyzer.hpp"
 
 #include <algorithm>
+#include <array>
 #include <map>
 #include <set>
 #include <utility>
@@ -196,174 +197,182 @@ void check_plan_shape(const PlanModel& pm, const RankModel& rm,
 }
 
 // ---------------------------------------------------------------------------
-// 2. Pipeline replay.
+// 2. Executor replay.
 //
-// Re-executes core/srumma.cpp's issue/compute loop on metadata alone: slot
-// rotation, A-pool oldest-reader eviction, A-reuse matching, copy-path
-// buffer growth and cache-pin lifetimes.  Proves that on a clean plan no
-// buffer is read or re-targeted while its get is pending and no handle
-// crosses the final barrier unwaited — the static counterpart of the
-// UseBeforeWait / UnwaitedAtBarrier diagnostics — and computes the exact
-// clean-run footprint the ResourceBound check compares to the closed-form
-// ceiling.
+// Re-executes engine::run_plan on metadata alone, in plan order, for one
+// operand lifetime: the issue window and its buffer-budget hold-back, slot
+// sharing, release just before a fetch, copy-path bytes and cache-pin
+// lifetimes.  Proves that on a clean plan no buffer is read or re-targeted
+// while its get is pending and no handle crosses the final barrier
+// unwaited — the static counterpart of the UseBeforeWait /
+// UnwaitedAtBarrier diagnostics — and computes the exact clean-run
+// footprint, which the ResourceBound check compares to the closed-form
+// ceiling and tests compare to a real run's buffer_bytes_peak.
 // ---------------------------------------------------------------------------
 
-struct ReplayResult {
-  std::uint64_t peak_bytes = 0;
-  std::uint64_t peak_pins = 0;
-};
-
-ReplayResult pipeline_replay(const PlanModel& pm, const RankModel& rm,
-                             std::vector<Finding>& out) {
+ReplayPeak replay(const PlanModel& pm, const RankModel& rm, bool plan_lifetime,
+                  std::vector<Finding>& out) {
   const MachineModel& mm = pm.cfg.machine;
   const std::vector<Task>& tasks = rm.plan.tasks;
-  const int lookahead = rm.lookahead;
-  const std::size_t n_slots = static_cast<std::size_t>(lookahead) + 1;
+  const std::size_t n_tasks = tasks.size();
+  const std::size_t lookahead = static_cast<std::size_t>(rm.lookahead);
+  const std::size_t window = lookahead + 1;
+  const std::uint64_t budget = rm.tuned.max_buffer_bytes;
   const std::set<std::size_t> dropped(rm.dropped_waits.begin(),
                                       rm.dropped_waits.end());
+  const bool share = rm.tuned.ordering.a_reuse;
+  std::vector<std::uint8_t> later;
+  if (share && plan_lifetime) later = engine::later_reads(rm.plan);
+  const std::string lifetime =
+      plan_lifetime ? "plan lifetime: " : "window lifetime: ";
 
-  struct SimState {
+  struct SimSlot {
+    bool is_a = false;
     index_t i0 = -1, j0 = -1, m = -1, n = -1;
-    bool valid = false;
+    bool live = false;
+    bool keep = false;
+    int readers = 0;
     bool pending = false;
     bool pinned = false;
-    std::uint64_t cap = 0;
-    std::ptrdiff_t last_user = -1;
-    std::size_t src = 0;  ///< task whose acquire left it pending
+    std::uint64_t bytes = 0;
+    std::size_t src = 0;  ///< task whose issue left it pending
   };
-  std::vector<SimState> a_state(n_slots + 1);
-  std::vector<SimState> b_state(n_slots);
-  std::vector<std::size_t> slot_a(n_slots, 0);
-
+  std::vector<SimSlot> slots;
+  std::vector<std::array<std::size_t, 2>> held(window);
+  std::uint64_t live = 0;
   std::size_t pins = 0;
-  ReplayResult res;
-  const auto unpin = [&](SimState& st) {
-    if (st.pinned) { st.pinned = false; --pins; }
+  ReplayPeak peak;
+
+  const auto unpin = [&](SimSlot& s) {
+    if (s.pinned) { s.pinned = false; --pins; }
   };
-  const auto sim_acquire = [&](const MatrixLayout& lay, SimState& st,
-                               index_t i0, index_t j0, index_t pmi,
-                               index_t pnj) {
-    st.i0 = i0; st.j0 = j0; st.m = pmi; st.n = pnj;
-    st.valid = true;
-    st.pending = false;
+  const auto find = [&](bool is_a, const Task& t) -> std::ptrdiff_t {
+    if (!share) return -1;
+    const index_t i0 = is_a ? t.a_i0 : t.b_i0;
+    const index_t j0 = is_a ? t.a_j0 : t.b_j0;
+    const index_t pmi = is_a ? t.a_m : t.b_m;
+    const index_t pnj = is_a ? t.a_n : t.b_n;
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+      const SimSlot& s = slots[i];
+      if (s.live && s.is_a == is_a && s.i0 == i0 && s.j0 == j0 &&
+          s.m == pmi && s.n == pnj)
+        return static_cast<std::ptrdiff_t>(i);
+    }
+    return -1;
+  };
+  const auto release = [&](SimSlot& s) {
+    if (s.pending) {
+      add(out, FindingKind::Executor, check::Diag::UseBeforeWait, rm.rank,
+          static_cast<std::ptrdiff_t>(s.src),
+          lifetime + "a slot whose get (task " + std::to_string(s.src) +
+              ") was never waited is released for re-targeting");
+      unpin(s);
+    }
+    live -= s.bytes;
+    s = SimSlot{};
+  };
+  const auto fetch_new = [&](bool is_a, const Task& t, std::size_t src) {
+    std::size_t i = 0;
+    while (i < slots.size() && slots[i].live) ++i;
+    if (i == slots.size()) slots.emplace_back();
+    SimSlot& s = slots[i];
+    const MatrixLayout& lay = is_a ? pm.a : pm.b;
+    s.is_a = is_a;
+    s.i0 = is_a ? t.a_i0 : t.b_i0;
+    s.j0 = is_a ? t.a_j0 : t.b_j0;
+    s.m = is_a ? t.a_m : t.b_m;
+    s.n = is_a ? t.a_n : t.b_n;
+    s.live = true;
+    s.src = src;
+    // Mirrors engine::acquire: direct access needs the Direct flavor and a
+    // single in-domain owner; everything else posts a get.
     const bool direct =
         pm.cfg.options.shm_flavor == ShmFlavor::Direct &&
-        lay.single_owner_in_domain(mm, rm.rank, i0, j0, pmi, pnj).has_value();
-    if (direct) return;
-    st.pending = true;
-    st.cap = std::max(st.cap, patch_bytes(pmi, pnj));
+        lay.single_owner_in_domain(mm, rm.rank, s.i0, s.j0, s.m, s.n)
+            .has_value();
+    if (direct) return i;
+    s.pending = true;
+    s.bytes = patch_bytes(s.m, s.n);
+    live += s.bytes;
+    peak.bytes = std::max(peak.bytes, live);
     // The cooperative cache routes out-of-domain fetches only; its pin
-    // lives until this rank's finish_cache at first-consumer compute.
-    if (!lay.rect_in_domain(mm, rm.rank, i0, j0, pmi, pnj)) {
-      st.pinned = true;
+    // lives until the slot's first reader settles it.
+    if (!lay.rect_in_domain(mm, rm.rank, s.i0, s.j0, s.m, s.n)) {
+      s.pinned = true;
       ++pins;
-      res.peak_pins = std::max<std::uint64_t>(res.peak_pins, pins);
+      peak.pins = std::max<std::uint64_t>(peak.pins, pins);
     }
+    return i;
   };
 
-  const auto issue = [&](std::size_t j) {
-    const Task& t = tasks[j];
-    const std::size_t slot = j % n_slots;
-    std::ptrdiff_t ai = -1;
-    if (rm.tuned.ordering.a_reuse) {
-      for (std::size_t s = 0; s < a_state.size(); ++s) {
-        const SimState& st = a_state[s];
-        if (st.valid && st.i0 == t.a_i0 && st.j0 == t.a_j0 &&
-            st.m == t.a_m && st.n == t.a_n) {
-          ai = static_cast<std::ptrdiff_t>(s);
-          break;
-        }
+  std::size_t next = 0;
+  for (std::size_t head = 0; head < n_tasks; ++head) {
+    while (next < n_tasks && next <= head + lookahead) {
+      const Task& t = tasks[next];
+      std::ptrdiff_t sa = find(true, t);
+      std::ptrdiff_t sb = find(false, t);
+      const auto idle = [&](std::size_t i) {
+        const auto si = static_cast<std::ptrdiff_t>(i);
+        return slots[i].live && slots[i].readers == 0 && si != sa && si != sb;
+      };
+      for (std::size_t i = 0; i < slots.size(); ++i)
+        if (idle(i) && !slots[i].keep) release(slots[i]);
+      if (budget > 0) {
+        std::uint64_t add = 0;
+        if (sa < 0) add += patch_bytes(t.a_m, t.a_n);
+        if (sb < 0) add += patch_bytes(t.b_m, t.b_n);
+        const auto over = [&] { return live + add > budget; };
+        for (std::size_t i = 0; i < slots.size() && over(); ++i)
+          if (idle(i) && slots[i].bytes > 0) release(slots[i]);
+        if (over() && next > head) break;
       }
+      if (sa < 0) sa = static_cast<std::ptrdiff_t>(fetch_new(true, t, next));
+      if (sb < 0) sb = static_cast<std::ptrdiff_t>(fetch_new(false, t, next));
+      std::array<std::size_t, 2>& h = held[next % window];
+      h = {static_cast<std::size_t>(sa), static_cast<std::size_t>(sb)};
+      for (const std::size_t si : h) slots[si].readers += 1;
+      ++next;
     }
-    if (ai < 0) {
-      ai = 0;
-      for (std::size_t s = 1; s < a_state.size(); ++s)
-        if (a_state[s].last_user <
-            a_state[static_cast<std::size_t>(ai)].last_user)
-          ai = static_cast<std::ptrdiff_t>(s);
-      SimState& ev = a_state[static_cast<std::size_t>(ai)];
-      if (ev.pending) {
-        add(out, FindingKind::Pipeline, check::Diag::UseBeforeWait, rm.rank,
-            static_cast<std::ptrdiff_t>(j),
-            "issue of task " + std::to_string(j) +
-                " re-targets the A buffer whose get (task " +
-                std::to_string(ev.src) + ") was never waited");
-        unpin(ev);
-        ev.pending = false;
-      }
-      const auto floor =
-          std::max<std::ptrdiff_t>(0, static_cast<std::ptrdiff_t>(j) -
-                                          lookahead);
-      if (ev.last_user >= floor)
-        add(out, FindingKind::Pipeline, std::nullopt, rm.rank,
-            static_cast<std::ptrdiff_t>(j),
-            "A-pool eviction invariant broken: buffer's last reader " +
-                std::to_string(ev.last_user) + " is not below the compute "
-                "floor " + std::to_string(floor));
-      sim_acquire(pm.a, ev, t.a_i0, t.a_j0, t.a_m, t.a_n);
-      ev.src = j;
-    }
-    a_state[static_cast<std::size_t>(ai)].last_user =
-        static_cast<std::ptrdiff_t>(j);
-    slot_a[slot] = static_cast<std::size_t>(ai);
-    SimState& bs = b_state[slot];
-    if (bs.pending) {
-      add(out, FindingKind::Pipeline, check::Diag::UseBeforeWait, rm.rank,
-          static_cast<std::ptrdiff_t>(j),
-          "issue of task " + std::to_string(j) +
-              " re-targets the B slot whose get (task " +
-              std::to_string(bs.src) + ") was never waited");
-      unpin(bs);
-    }
-    sim_acquire(pm.b, bs, t.b_i0, t.b_j0, t.b_m, t.b_n);
-    bs.src = j;
-  };
-
-  std::size_t next_issue = 0;
-  for (std::size_t t_idx = 0; t_idx < tasks.size(); ++t_idx) {
-    while (next_issue < tasks.size() &&
-           next_issue <= t_idx + static_cast<std::size_t>(lookahead))
-      issue(next_issue++);
-    const std::size_t slot = t_idx % n_slots;
-    for (SimState* st : {&a_state[slot_a[slot]], &b_state[slot]}) {
-      if (!st->pending) continue;
-      if (dropped.count(t_idx) != 0) {
-        add(out, FindingKind::Pipeline, check::Diag::UseBeforeWait, rm.rank,
-            static_cast<std::ptrdiff_t>(t_idx),
-            "dgemm of task " + std::to_string(t_idx) +
+    const std::array<std::size_t, 2>& h = held[head % window];
+    for (const std::size_t si : h) {
+      SimSlot& s = slots[si];
+      if (!s.pending) continue;
+      if (dropped.count(head) != 0) {
+        add(out, FindingKind::Executor, check::Diag::UseBeforeWait, rm.rank,
+            static_cast<std::ptrdiff_t>(head),
+            lifetime + "dgemm of task " + std::to_string(head) +
                 " reads a buffer whose get was never waited (seeded "
                 "drop-wait)");
-        continue;  // wait skipped: the state stays pending
+        continue;  // wait skipped: the slot stays pending
       }
-      st->pending = false;
-      unpin(*st);
+      s.pending = false;
+      unpin(s);
     }
+    const std::uint8_t again = later.empty() ? 0 : later[head];
+    slots[h[0]].readers -= 1;
+    slots[h[0]].keep = (again & engine::kLaterA) != 0;
+    slots[h[1]].readers -= 1;
+    slots[h[1]].keep = (again & engine::kLaterB) != 0;
   }
 
-  for (const std::vector<SimState>* pool : {&a_state, &b_state}) {
-    for (const SimState& st : *pool) {
-      if (st.pending)
-        add(out, FindingKind::Pipeline, check::Diag::UnwaitedAtBarrier,
-            rm.rank, static_cast<std::ptrdiff_t>(st.src),
-            "get issued by task " + std::to_string(st.src) +
-                " crosses the collect_result barrier unwaited");
-      res.peak_bytes += st.cap;
-    }
-  }
-  return res;
+  for (const SimSlot& s : slots)
+    if (s.live && s.pending)
+      add(out, FindingKind::Executor, check::Diag::UnwaitedAtBarrier, rm.rank,
+          static_cast<std::ptrdiff_t>(s.src),
+          lifetime + "get issued by task " + std::to_string(s.src) +
+              " crosses the collect_result barrier unwaited");
+  return peak;
 }
 
 // ---------------------------------------------------------------------------
 // 3. Commit-chain consistency.
 //
-// chain_layout groups the plan by C tile with positions in plan order; the
-// engine's execute gate trusts that grouping (a task runs when its
-// task_pos equals its tile's commit count).  Verifying that task_tile /
-// task_pos and tile_tasks agree — every task exactly once, positions
-// strictly in plan order, tiles homogeneous — establishes that the
-// dependency graph is a disjoint union of linear chains in plan order, so
-// the earliest uncommitted plan index always heads its chain and the
-// engine cannot deadlock (docs/ANALYSIS.md §2).
+// chain_layout groups the plan by C tile with positions in plan order, and
+// recovery adopts a dead rank's work chain by chain.  Verifying that
+// task_tile / task_pos and tile_tasks agree — every task exactly once,
+// positions strictly in plan order, tiles homogeneous — establishes that
+// an adopted chain replays its tile's products in the order the owner
+// would have committed them (docs/ANALYSIS.md §2).
 // ---------------------------------------------------------------------------
 
 void check_chains(const RankModel& rm, std::vector<Finding>& out) {
@@ -396,14 +405,14 @@ void check_chains(const RankModel& rm, std::vector<Finding>& out) {
                 "'s chain but records (tile " +
                 std::to_string(ch.task_tile[idx]) + ", pos " +
                 std::to_string(ch.task_pos[idx]) +
-                ") — the execute gate and the chain disagree");
+                ") — the chain and its own index disagree");
       if (p > 0 && idx <= prev)
         add(out, FindingKind::CommitChain, std::nullopt, rm.rank,
             static_cast<std::ptrdiff_t>(idx),
             "tile " + std::to_string(tile) +
                 "'s chain is not in plan order at position " +
                 std::to_string(p) +
-                " — commits would not replay the pipeline's accumulation "
+                " — commits would not replay the executor's accumulation "
                 "order and C loses bitwise identity");
       if (p > 0) {
         const Task& x = rm.plan.tasks[chain[p - 1]];
@@ -464,13 +473,20 @@ void check_adopted_chains(const PlanModel& pm, const RankModel& rm,
 
 // ---------------------------------------------------------------------------
 // 4. Resource bounds.
+//
+// Closed-form per-rank ceilings for each operand lifetime, holding under
+// fault re-arms and Direct -> Copy fallbacks too (every patch is counted as
+// a copy, and a re-armed patch is the same patch).  At a fetch every live
+// slot is read by one of the <= window issued tasks (each reading one A
+// and one B slot), or, under the plan lifetime, held for a later reader:
+// its [first, last] reader interval then spans the issue cursor (the sweep
+// term).  Unwaited slots, and so cache pins, belong to issued tasks only.
 // ---------------------------------------------------------------------------
 
 struct RankBounds {
-  std::uint64_t pipeline_bytes = 0;
-  std::uint64_t engine_bytes = 0;
-  std::uint64_t pipeline_pins = 0;
-  std::uint64_t engine_pins = 0;
+  std::uint64_t window_bytes = 0;
+  std::uint64_t plan_bytes = 0;
+  std::uint64_t pins = 0;
 };
 
 RankBounds rank_bounds(const RankModel& rm) {
@@ -488,25 +504,11 @@ RankBounds rank_bounds(const RankModel& rm) {
     // here could trap — the shape check already reported it).
     if (!t.a_in_domain || !t.b_in_domain) any_remote = true;
   }
-  const std::uint64_t n_slots = static_cast<std::uint64_t>(rm.lookahead) + 1;
-  const std::uint64_t window = n_slots;  // engine issue window
+  const std::uint64_t window = static_cast<std::uint64_t>(rm.lookahead) + 1;
+  rb.window_bytes = window * (max_a + max_b);
 
-  // Pipeline: (lookahead+2) A states + (lookahead+1) B slots, each capped
-  // by the largest patch it can ever be grown to.  Holds under fault
-  // re-arms too (caps are grow-only per state and a re-armed patch is the
-  // same patch).
-  rb.pipeline_bytes = (n_slots + 1) * max_a + n_slots * max_b;
-  // One pin per unwaited copy-path acquire: at most lookahead+2 A states
-  // and lookahead+1 B slots are ever unwaited at once.
-  rb.pipeline_pins = any_remote ? 2 * n_slots + 1 : 0;
-
-  // Engine: slots dedup by patch identity.  A slot is live only while some
-  // consumer is uncommitted; at issue cursor n that consumer is either a
-  // plan index > n (the slot's [first, last] consumer interval then spans
-  // n — the sweep term) or one of the <= window issued-uncommitted tasks
-  // (each pinning at most one A and one B slot — the additive term).  The
-  // bound therefore holds for arbitrary commit orders, not just the
-  // replayed clean order.
+  // Sweep: the most bytes of distinct patches whose [first, last] reader
+  // interval spans one plan position.
   struct SlotSpan {
     std::uint64_t bytes = 0;
     std::size_t first = 0, last = 0;
@@ -540,9 +542,8 @@ RankBounds rank_bounds(const RankModel& rm) {
     live -= drop[i];
     sweep_max = std::max(sweep_max, live);
   }
-  rb.engine_bytes = sweep_max + window * (max_a + max_b);
-  // <= window issued tasks hold unwaited slots (2 each).
-  rb.engine_pins = any_remote ? 2 * window : 0;
+  rb.plan_bytes = sweep_max + rb.window_bytes;
+  rb.pins = any_remote ? 2 * window : 0;
   return rb;
 }
 
@@ -552,7 +553,7 @@ const char* finding_kind_name(FindingKind k) {
   switch (k) {
     case FindingKind::PlanShape: return "plan-shape";
     case FindingKind::EpochSafety: return "epoch-safety";
-    case FindingKind::Pipeline: return "pipeline";
+    case FindingKind::Executor: return "executor";
     case FindingKind::CommitChain: return "commit-chain";
     case FindingKind::ResourceBound: return "resource-bound";
   }
@@ -561,11 +562,6 @@ const char* finding_kind_name(FindingKind k) {
 
 AnalysisReport analyze(const PlanModel& pm) {
   AnalysisReport rep;
-  std::uint64_t replay_peak_bytes = 0;
-  std::uint64_t replay_peak_pins = 0;
-  std::vector<RankBounds> per_rank;
-  per_rank.reserve(pm.ranks.size());
-
   for (const RankModel& rm : pm.ranks) {
     rep.total_tasks += rm.plan.tasks.size();
     rep.total_tiles += rm.chains.tile_tasks.size();
@@ -574,40 +570,30 @@ AnalysisReport analyze(const PlanModel& pm) {
     check_plan_shape(pm, rm, rep.findings);
     check_chains(rm, rep.findings);
     check_adopted_chains(pm, rm, rep.findings);
-    const ReplayResult rr = pipeline_replay(pm, rm, rep.findings);
-    replay_peak_bytes = std::max(replay_peak_bytes, rr.peak_bytes);
-    replay_peak_pins = std::max(replay_peak_pins, rr.peak_pins);
-    per_rank.push_back(rank_bounds(rm));
+    const RankBounds rb = rank_bounds(rm);
+    const ReplayPeak window = replay(pm, rm, false, rep.findings);
+    const ReplayPeak plan = replay(pm, rm, true, rep.findings);
+    const auto check_bound = [&](std::uint64_t peak, std::uint64_t bound,
+                                 const char* what, const char* lifetime) {
+      if (peak > bound)
+        add(rep.findings, FindingKind::ResourceBound, std::nullopt, rm.rank,
+            -1,
+            std::string(lifetime) + " lifetime replay holds " +
+                std::to_string(peak) + " " + what +
+                ", above the static bound " + std::to_string(bound));
+    };
+    check_bound(window.bytes, rb.window_bytes, "buffer bytes", "window");
+    check_bound(plan.bytes, rb.plan_bytes, "buffer bytes", "plan");
+    check_bound(window.pins, rb.pins, "cache pins", "window");
+    check_bound(plan.pins, rb.pins, "cache pins", "plan");
+    rep.bounds.buffer_bytes = std::max(
+        {rep.bounds.buffer_bytes, rb.window_bytes, rb.plan_bytes});
+    rep.bounds.cache_pins = std::max(rep.bounds.cache_pins, rb.pins);
+    rep.window_replay.bytes = std::max(rep.window_replay.bytes, window.bytes);
+    rep.window_replay.pins = std::max(rep.window_replay.pins, window.pins);
+    rep.plan_replay.bytes = std::max(rep.plan_replay.bytes, plan.bytes);
+    rep.plan_replay.pins = std::max(rep.plan_replay.pins, plan.pins);
   }
-
-  for (std::size_t r = 0; r < per_rank.size(); ++r) {
-    const RankBounds& rb = per_rank[r];
-    rep.bounds.pipeline_buffer_bytes =
-        std::max(rep.bounds.pipeline_buffer_bytes, rb.pipeline_bytes);
-    rep.bounds.engine_buffer_bytes =
-        std::max(rep.bounds.engine_buffer_bytes, rb.engine_bytes);
-    rep.bounds.pipeline_cache_pins =
-        std::max(rep.bounds.pipeline_cache_pins, rb.pipeline_pins);
-    rep.bounds.engine_cache_pins =
-        std::max(rep.bounds.engine_cache_pins, rb.engine_pins);
-  }
-  rep.bounds.buffer_bytes = std::max(rep.bounds.pipeline_buffer_bytes,
-                                     rep.bounds.engine_buffer_bytes);
-  rep.bounds.cache_pins = std::max(rep.bounds.pipeline_cache_pins,
-                                   rep.bounds.engine_cache_pins);
-  rep.pipeline_replay_peak_bytes = replay_peak_bytes;
-  rep.pipeline_replay_peak_pins = replay_peak_pins;
-
-  if (replay_peak_bytes > rep.bounds.pipeline_buffer_bytes)
-    add(rep.findings, FindingKind::ResourceBound, std::nullopt, -1, -1,
-        "pipeline replay peak " + std::to_string(replay_peak_bytes) +
-            " bytes exceeds the static bound " +
-            std::to_string(rep.bounds.pipeline_buffer_bytes));
-  if (replay_peak_pins > rep.bounds.pipeline_cache_pins)
-    add(rep.findings, FindingKind::ResourceBound, std::nullopt, -1, -1,
-        "pipeline replay holds " + std::to_string(replay_peak_pins) +
-            " cache pins, above the static bound " +
-            std::to_string(rep.bounds.pipeline_cache_pins));
   return rep;
 }
 
@@ -634,19 +620,14 @@ std::string report_json(const PlanModel& pm, const AnalysisReport& rep,
   j += ",\"total_tiles\":" + std::to_string(rep.total_tiles);
   j += ",\"bounds\":{\"buffer_bytes_peak_bound\":" +
        std::to_string(rep.bounds.buffer_bytes);
-  j += ",\"pipeline_buffer_bytes_bound\":" +
-       std::to_string(rep.bounds.pipeline_buffer_bytes);
-  j += ",\"engine_buffer_bytes_bound\":" +
-       std::to_string(rep.bounds.engine_buffer_bytes);
   j += ",\"cache_pins_bound\":" + std::to_string(rep.bounds.cache_pins);
-  j += ",\"pipeline_cache_pins_bound\":" +
-       std::to_string(rep.bounds.pipeline_cache_pins);
-  j += ",\"engine_cache_pins_bound\":" +
-       std::to_string(rep.bounds.engine_cache_pins);
-  j += ",\"pipeline_replay_peak_bytes\":" +
-       std::to_string(rep.pipeline_replay_peak_bytes);
-  j += ",\"pipeline_replay_peak_pins\":" +
-       std::to_string(rep.pipeline_replay_peak_pins) + "}";
+  j += ",\"window_replay_peak_bytes\":" +
+       std::to_string(rep.window_replay.bytes);
+  j += ",\"window_replay_peak_pins\":" +
+       std::to_string(rep.window_replay.pins);
+  j += ",\"plan_replay_peak_bytes\":" + std::to_string(rep.plan_replay.bytes);
+  j += ",\"plan_replay_peak_pins\":" +
+       std::to_string(rep.plan_replay.pins) + "}";
   j += ",\"mutation\":";
   j += trace::json_string(mutation);
   if (!mutation_detail.empty()) {

@@ -7,16 +7,16 @@
 //   1. Epoch safety — every get window equals its task's C-tile x K-segment
 //      footprint, lies inside the operand, carries correct locality flags,
 //      and every C write stays inside the rank's own disjoint block; plus
-//      an exact replay of the prefetch pipeline's slot rotation proving no
-//      buffer is read or re-targeted while its get is pending.  Together
-//      these rule out every diagnostic class in src/check for clean plans.
-//   2. Commit-chain consistency — the chains the engine executes are
-//      exactly the plan-order grouping, which is what makes it
-//      deadlock-free (the earliest-uncommitted-position induction of
-//      docs/ANALYSIS.md §2).
+//      an exact replay of the executor (engine::run_plan, in plan order)
+//      under both operand lifetimes, proving no buffer is read or
+//      re-targeted while its get is pending.  Together these rule out every
+//      diagnostic class in src/check for clean plans.
+//   2. Commit-chain consistency — the chains recovery adopts are exactly
+//      the plan-order grouping, so an adopted tile accumulates its products
+//      in the order its owner would have (docs/ANALYSIS.md §2).
 //   3. Static resource bounds — provable per-team ceilings on
-//      buffer_bytes_peak and concurrent cache pins for both executors,
-//      cross-checked against the replay's exact clean-run peak.
+//      buffer_bytes_peak and concurrent cache pins for both lifetimes,
+//      cross-checked against each replay's exact clean-run peak.
 //
 // Findings carry the dynamic Diag class they would surface as, so the
 // static-vs-dynamic coverage matrix in docs/CHECKING.md is checkable.
@@ -34,7 +34,7 @@ namespace srumma::analysis {
 enum class FindingKind {
   PlanShape,      ///< get window or locality flag disagrees with the task
   EpochSafety,    ///< an ownership / bounds premise of epoch safety fails
-  Pipeline,       ///< the pipeline replay read or re-targeted a pending buffer
+  Executor,       ///< the executor replay read or re-targeted a pending buffer
   CommitChain,    ///< chain layout is not the plan-order grouping
   ResourceBound,  ///< a replay peak exceeds its provable static bound
 };
@@ -51,15 +51,18 @@ struct Finding {
 };
 
 /// Provable static ceilings (bytes / pin counts are per-rank maxima, i.e.
-/// exactly what the MAX-aggregated bench counters report team-wide).
+/// exactly what the MAX-aggregated bench counters report team-wide), each
+/// the larger of the two operand lifetimes', so safe whichever one
+/// EngineMode selects.
 struct ResourceBounds {
-  std::uint64_t pipeline_buffer_bytes = 0;
-  std::uint64_t engine_buffer_bytes = 0;
-  /// max of the two executors — safe whichever one SRUMMA_ENGINE selects.
   std::uint64_t buffer_bytes = 0;
-  std::uint64_t pipeline_cache_pins = 0;
-  std::uint64_t engine_cache_pins = 0;
   std::uint64_t cache_pins = 0;
+};
+
+/// Exact clean-run footprint of one operand lifetime, from the replay.
+struct ReplayPeak {
+  std::uint64_t bytes = 0;
+  std::uint64_t pins = 0;
 };
 
 struct AnalysisReport {
@@ -68,9 +71,8 @@ struct AnalysisReport {
   std::size_t total_tasks = 0;
   std::size_t total_tiles = 0;
   int max_lookahead = 0;
-  /// Exact clean-run pipeline footprint from the replay (<= the bound).
-  std::uint64_t pipeline_replay_peak_bytes = 0;
-  std::uint64_t pipeline_replay_peak_pins = 0;
+  ReplayPeak window_replay;  ///< EngineMode::Off (<= the bound)
+  ReplayPeak plan_replay;    ///< EngineMode::On (<= the bound)
 
   [[nodiscard]] bool certified() const { return findings.empty(); }
 };

@@ -19,7 +19,7 @@ std::uint64_t next_rand(std::uint64_t& state) {
   return z ^ (z >> 31);
 }
 
-/// Would the pipeline fetch this task's A (resp. B) patch through the copy
+/// Would the executor fetch this task's A (resp. B) patch through the copy
 /// path?  Mirrors engine::acquire: direct access needs the Direct flavor
 /// and a single in-domain owner; everything else posts a get.
 bool copies_a(const PlanModel& pm, int rank, const Task& t) {

@@ -3,9 +3,8 @@
 //
 // A PlanModel is everything a SRUMMA run decides *before* touching data:
 // the tuned option set, every rank's task plan and the commit-chain layout
-// the engine would execute.  It is built from the same code paths the run
-// uses —
-// tune_options, the layout-based build_task_plan overload and
+// recovery would adopt it by.  It is built from the same code paths the
+// run uses — tune_options, the layout-based build_task_plan overload and
 // engine::chain_layout — so the analyzed schedule cannot drift from the
 // executed one.  No team, no allocation, no virtual clock.
 //
@@ -41,7 +40,7 @@ struct AnalysisConfig {
   index_t k = 0;
 };
 
-/// Everything one rank's executors would consume.
+/// Everything one rank's executor would consume.
 struct RankModel {
   int rank = -1;
   /// Option set after tune_options (k_chunk, lookahead, budget shrink).
@@ -53,7 +52,7 @@ struct RankModel {
   engine::ChainLayout chains;
 
   // -- seeded faults (empty in clean models) --------------------------------
-  /// Plan indices whose operand waits the pipeline "forgets" (the replay
+  /// Plan indices whose operand waits the executor "forgets" (the replay
   /// skips them; the analyzer must diagnose the use-before-wait class).
   std::vector<std::size_t> dropped_waits;
   /// Recovery model (docs/FAULTS.md §7): a dead rank's commit chain this
@@ -85,7 +84,7 @@ struct PlanModel {
 /// Seeded protocol faults, one per dynamic diagnostic family the analyzer
 /// must prove impossible on clean plans.
 enum class Mutation {
-  DropWait,        ///< pipeline skips one task's operand waits
+  DropWait,        ///< the executor skips one task's operand waits
   ReorderCommit,   ///< swap two adjacent commit-chain links
   WidenGetWindow,  ///< grow one get window past the task's footprint
   AdoptChain,      ///< survivor replays an adopted chain out of plan order

@@ -24,7 +24,9 @@ struct OrderingPolicy {
   /// *different* nodes (Fig. 4), spreading the contention.
   bool diagonal_shift = true;
   /// Group tasks so a fetched A block is used by consecutive products
-  /// before its buffer is reused.
+  /// before its buffer is reused, and let the executor share a live operand
+  /// slot that already holds a task's patch.  Off: every task fetches its
+  /// own operands.
   bool a_reuse = true;
   /// Regroup the remote run so every set of tasks sharing one A patch is
   /// contiguous (repairing the split the diagonal-shift rotation can cut
@@ -52,16 +54,18 @@ enum class ShmFlavor {
   Copy,
 };
 
-/// Task-execution engine selection (docs/ENGINE.md).
+/// How long the executor keeps a fetched operand patch (docs/ENGINE.md).
+/// Both lifetimes run the task plan in plan order and give bitwise the
+/// same C.
 enum class EngineMode : std::uint8_t {
   /// Defer to the SRUMMA_ENGINE environment variable (unset/0 = Off).
   Auto,
-  /// The paper's static ordered pipeline (Fig. 3): in-order waits, slot
-  /// rotation, failed operands re-armed in place.  Deterministic timing.
+  /// The window lifetime: a patch lives while an issued task still reads
+  /// it — the paper's double buffer (Fig. 3).
   Off,
-  /// Dependency-driven task engine (src/engine): per-task operand
-  /// ownership, out-of-order execution across C tiles and fetch re-arm on
-  /// failure.  C is bitwise-identical to the pipeline (docs/ENGINE.md).
+  /// The plan lifetime: a patch lives until its last reader in the plan
+  /// commits, so a patch read again later is fetched once.  Fewer gets
+  /// (under a slow link, bench_steal's 2x), more buffer memory.
   On,
 };
 
@@ -73,7 +77,7 @@ struct SrummaOptions {
 
   OrderingPolicy ordering = OrderingPolicy::full();
   ShmFlavor shm_flavor = ShmFlavor::Direct;
-  /// Which executor consumes the task plan (docs/ENGINE.md).
+  /// How long the executor keeps fetched operands (docs/ENGINE.md).
   EngineMode engine = EngineMode::Auto;
   /// Nonblocking prefetch pipeline (Fig. 3).  Off = issue each get and wait
   /// immediately; the blocking arm of the Fig. 9 experiment.
@@ -96,8 +100,10 @@ struct SrummaOptions {
   index_t c_chunk = 0;
   /// Optional per-rank buffer memory budget in bytes (0 = unlimited).  When
   /// set, the driver shrinks c_chunk (and if needed k_chunk) until the
-  /// pipeline's patch buffers fit — the "memory efficient" operating mode.
-  /// Explicit c_chunk/k_chunk values are only ever shrunk, never grown.
+  /// executor's patch buffers fit — the "memory efficient" operating mode —
+  /// and the executor holds back an issue that would overflow it while an
+  /// earlier task is in flight.  Explicit c_chunk/k_chunk values are only
+  /// ever shrunk, never grown.
   std::uint64_t max_buffer_bytes = 0;
 
   /// Verify every freshly fetched copy-path operand patch against the

@@ -103,10 +103,11 @@ SrummaOptions tune_options(int rank, const MachineModel& mm,
   }
 
   if (tuned.max_buffer_bytes > 0) {
-    // Shrink the tiling until (lookahead+2) A patches + (lookahead+1) B
-    // patches of the worst-case extents fit the budget.  Patch extents are
-    // bounded by (c_chunk x k_chunk), so halve both until they fit (floor 8
-    // to keep dgemm calls non-degenerate).
+    // Shrink the tiling until 2 lookahead + 3 patches of the worst-case
+    // extents fit the budget, a margin over the window lifetime's
+    // 2 (lookahead+1) live patches.  Patch extents are bounded by
+    // (c_chunk x k_chunk), so halve both until they fit (floor 8 to keep
+    // dgemm calls non-degenerate).
     const std::uint64_t slots =
         2 * static_cast<std::uint64_t>(tuned.lookahead) + 3;
     const index_t m_local = c.block_rows(rank);

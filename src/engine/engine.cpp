@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <map>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -52,6 +53,22 @@ ChainLayout chain_layout(const TaskPlan& plan) {
   return cl;
 }
 
+std::vector<std::uint8_t> later_reads(const TaskPlan& plan) {
+  const std::vector<Task>& tasks = plan.tasks;
+  std::vector<std::uint8_t> later(tasks.size(), 0);
+  using PatchKey = std::array<index_t, 4>;
+  std::set<PatchKey> a_seen;
+  std::set<PatchKey> b_seen;
+  for (std::size_t i = tasks.size(); i-- > 0;) {
+    const Task& t = tasks[i];
+    if (!a_seen.insert(PatchKey{t.a_i0, t.a_j0, t.a_m, t.a_n}).second)
+      later[i] |= kLaterA;
+    if (!b_seen.insert(PatchKey{t.b_i0, t.b_j0, t.b_m, t.b_n}).second)
+      later[i] |= kLaterB;
+  }
+  return later;
+}
+
 bool selected(EngineMode mode) {
   if (mode == EngineMode::Auto)
     return env::flag("SRUMMA_ENGINE").value_or(false);
@@ -62,9 +79,9 @@ std::size_t run_plan(Rank& me, DistMatrix& a, DistMatrix& b, MatrixView c_dst,
                      DistMatrix* c_decl, const SrummaOptions& opt,
                      int lookahead, const TaskPlan& plan, OperandPool& pool) {
   trace::Tracer* tr = me.tracer();
-  const bool phantom = a.phantom();
   const std::vector<Task>& tasks = plan.tasks;
   const std::size_t n_tasks = tasks.size();
+  const std::size_t window = static_cast<std::size_t>(lookahead) + 1;
 
   // Fail-stop hooks: a configured kill trips at this rank's next prefetch
   // issue or chain advance.  Once killed the rank is a zombie: it bails at
@@ -78,276 +95,190 @@ std::size_t run_plan(Rank& me, DistMatrix& a, DistMatrix& b, MatrixView c_dst,
     if (kill_active) fp->reach_kill_point(p, me.domain(), me.clock().now());
   };
 
-  // -- task graph setup ------------------------------------------------------
-  // Group tasks by C tile; each tile's products commit in plan order (the
-  // bitwise-identity invariant), execution order across tiles is free.
-  // chain_layout is shared with the static analyzer, which certifies these
-  // chains before any run (docs/ANALYSIS.md).
-  const ChainLayout chains = chain_layout(plan);
-  const std::vector<int>& task_tile = chains.task_tile;
-  const std::vector<int>& task_pos = chains.task_pos;
+  // Slots are shared under the A-reuse policy only: with it off every task
+  // fetches its own operands, the ablation of paper Section 3.1.  The plan
+  // lifetime needs to know which patches a later task reads again; the
+  // window lifetime tabulates nothing.
+  const bool share = opt.ordering.a_reuse;
+  std::vector<std::uint8_t> later;
+  if (share && selected(opt.engine)) later = later_reads(plan);
 
-  // Operand slots, deduplicated by patch identity: the task graph hands
-  // each distinct patch one owner, shared by every consumer and released
-  // when the last consumer commits.  (The a_reuse ordering policy still
-  // shapes the plan order — and thus how long a patch stays live — but
-  // dedup here is structural, not an ordering accident.)  Each slot's
-  // OperandState is appended to `pool`, which outlives this call.
+  // Operand slots: the live ones, and released ones awaiting reuse.  Each
+  // issued task reads one A slot and one B slot, recorded in a ring indexed
+  // by plan index mod window (at most `window` tasks are issued and
+  // uncommitted at once).
   struct Slot {
-    OperandState* st = nullptr;
-    DistMatrix* mat = nullptr;  // which matrix the slot's patch is of
-    int refs = 0;      // consumers not yet committed
-    int inflight = 0;  // consumers issued and not yet committed
-    bool issued = false;
-    bool waited = false;
-    double ready_vt = 0.0;
+    OperandState st;
+    bool is_a = false;
+    bool live = false;     // holds a patch
+    bool settled = false;  // its first reader waited, verified, finished it
+    bool keep = false;     // plan lifetime: a later task reads it
+    int readers = 0;       // issued, uncommitted tasks that read it
   };
   std::vector<Slot> slots;
-  using PatchKey = std::array<index_t, 4>;
-  std::map<PatchKey, int> a_slot_of;
-  std::map<PatchKey, int> b_slot_of;
-  std::vector<int> a_slot(n_tasks);
-  std::vector<int> b_slot(n_tasks);
-  const auto slot_for = [&](std::map<PatchKey, int>& m, DistMatrix& mat,
-                            index_t i0, index_t j0, index_t pm, index_t pn) {
-    const auto [it, fresh] =
-        m.try_emplace(PatchKey{i0, j0, pm, pn}, static_cast<int>(slots.size()));
-    if (fresh) slots.push_back(Slot{nullptr, &mat});
-    return it->second;
-  };
-  for (std::size_t i = 0; i < n_tasks; ++i) {
-    const Task& t = tasks[i];
-    a_slot[i] = slot_for(a_slot_of, a, t.a_i0, t.a_j0, t.a_m, t.a_n);
-    b_slot[i] = slot_for(b_slot_of, b, t.b_i0, t.b_j0, t.b_m, t.b_n);
-    slots[static_cast<std::size_t>(a_slot[i])].refs += 1;
-    slots[static_cast<std::size_t>(b_slot[i])].refs += 1;
-  }
-  const std::size_t base = pool.states.size();
-  pool.states.resize(base + slots.size());
-  for (std::size_t i = 0; i < slots.size(); ++i)
-    slots[i].st = &pool.states[base + i];
-
-  // -- executor state --------------------------------------------------------
-  // Issue window: how many tasks may hold operand slots at once.  The
-  // pipeline's lookahead bounds it so both executors run under comparable
-  // buffer budgets; blocking mode (lookahead 0) degenerates to
-  // issue-one-execute-one.
-  const std::size_t window = static_cast<std::size_t>(lookahead) + 1;
+  slots.reserve(2 * window + 2);
+  std::vector<std::array<std::size_t, 2>> held(window);
   std::uint64_t live_bytes = 0;
   std::uint64_t peak_bytes = 0;
   // One re-arm budget for the whole plan.
   ReissueBudget budget{4 * n_tasks + 16,
-                       "engine: operand reissue budget exhausted — transfers "
+                       "srumma: operand reissue budget exhausted — transfers "
                        "keep failing after RMA retries"};
 
-  const auto patch_bytes = [](const Task& t, bool is_a) {
-    return is_a ? static_cast<std::uint64_t>(t.a_m) *
-                      static_cast<std::uint64_t>(t.a_n) * sizeof(double)
-                : static_cast<std::uint64_t>(t.b_m) *
-                      static_cast<std::uint64_t>(t.b_n) * sizeof(double);
+  const auto mat_of = [&](const Slot& s) -> DistMatrix& {
+    return s.is_a ? a : b;
   };
-
-  // A slot without a buffer draws one from the spares a released slot left
-  // behind; a slot that turned out direct hands it straight back.
-  const auto acquire_slot = [&](DistMatrix& mat, Slot& s, const Task& t,
-                                bool is_a) {
-    OperandState& st = *s.st;
-    const std::uint64_t before = st.cap_bytes;
+  // The live slot holding task t's A (resp. B) patch, or -1.
+  const auto find = [&](bool is_a, const Task& t) -> std::ptrdiff_t {
+    if (!share) return -1;
+    const index_t i0 = is_a ? t.a_i0 : t.b_i0;
+    const index_t j0 = is_a ? t.a_j0 : t.b_j0;
     const index_t pm = is_a ? t.a_m : t.b_m;
     const index_t pn = is_a ? t.a_n : t.b_n;
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+      const Slot& s = slots[i];
+      if (s.live && s.is_a == is_a && s.st.i0 == i0 && s.st.j0 == j0 &&
+          s.st.m == pm && s.st.n == pn)
+        return static_cast<std::ptrdiff_t>(i);
+    }
+    return -1;
+  };
+  // Fetch task t's patch into slot `s`: a fresh slot, or a failed one being
+  // re-armed in place.  A slot without a buffer draws one from the spares;
+  // a slot that turned out direct hands it straight back.
+  const auto fetch = [&](Slot& s, const Task& t) {
+    OperandState& st = s.st;
+    const std::uint64_t before = st.cap_bytes;
+    const index_t pm = s.is_a ? t.a_m : t.b_m;
+    const index_t pn = s.is_a ? t.a_n : t.b_n;
     if (st.buf.empty()) take_spare(pool.spare, st.buf, pm, pn);
-    if (is_a) {
-      acquire(me, mat, t.a_i0, t.a_j0, pm, pn, opt.shm_flavor, st);
+    if (s.is_a) {
+      acquire(me, a, t.a_i0, t.a_j0, pm, pn, opt.shm_flavor, st);
     } else {
-      acquire(me, mat, t.b_i0, t.b_j0, pm, pn, opt.shm_flavor, st);
+      acquire(me, b, t.b_i0, t.b_j0, pm, pn, opt.shm_flavor, st);
     }
     if (st.direct && !st.buf.empty())
       pool.spare.push_back(std::exchange(st.buf, Matrix{}));
     live_bytes += st.cap_bytes - before;
     peak_bytes = std::max(peak_bytes, live_bytes);
-    s.issued = true;
-    s.waited = false;
+    s.live = true;
+    s.settled = false;
   };
-
-  // Drop a slot (budget pressure, or last consumer gone); its buffer joins
-  // the spares.  Only legal once no issued consumer depends on it; a later
-  // consumer simply re-acquires.
-  const auto release_slot = [&](Slot& s) {
-    SRUMMA_ASSERT(s.inflight == 0 && !s.st->cache_ref.active(),
+  const auto fetch_new = [&](bool is_a, const Task& t) {
+    std::size_t i = 0;
+    while (i < slots.size() && slots[i].live) ++i;
+    if (i == slots.size()) slots.emplace_back();
+    slots[i].is_a = is_a;
+    fetch(slots[i], t);
+    return i;
+  };
+  // Drop a slot no issued task reads; its buffer joins the spares, and the
+  // next fetch into it starts from an empty capacity.
+  const auto release = [&](Slot& s) {
+    SRUMMA_ASSERT(s.readers == 0 && !s.st.cache_ref.active(),
                   "engine: releasing an operand slot still in use");
-    live_bytes -= s.st->cap_bytes;
-    if (!s.st->buf.empty()) pool.spare.push_back(std::move(s.st->buf));
-    *s.st = OperandState{};
-    s.issued = false;
-    s.waited = false;
+    live_bytes -= s.st.cap_bytes;
+    s.st.cap_bytes = 0;
+    if (!s.st.buf.empty())
+      pool.spare.push_back(std::exchange(s.st.buf, Matrix{}));
+    s.live = false;
+    s.keep = false;
   };
-
-  const auto deref_slot = [&](int si) {
-    Slot& s = slots[static_cast<std::size_t>(si)];
-    s.refs -= 1;
-    if (s.refs == 0 && s.issued) release_slot(s);
-  };
-
-  // Wait/verify/finish one slot for the consumer that got there first;
-  // later consumers just sync their clock to the slot's ready time (the
-  // bytes exist only from that point in virtual time).  Per slot rather
-  // than settle()'s per task, because slots dedup patches across tasks.
-  const auto wait_slot = [&](DistMatrix& mat, Slot& s) {
-    if (s.waited) {
-      const double now = me.clock().now();
-      if (s.ready_vt > now) {
-        me.trace().time_wait += s.ready_vt - now;
-        me.clock().sync_to(s.ready_vt);
-        if (tr != nullptr)
-          tr->span(me.id(), trace::Phase::Wait, now, s.ready_vt);
-      }
-      return;
-    }
-    OperandState& st = *s.st;
-    const bool fetched = st.handle.pending;
-    if (fetched && !mat.try_wait(me, st.handle)) st.failed = true;
-    if (opt.verify_checksums && fetched) verify_operand(me, mat, st);
-    finish_cache(me, mat, st, fetched, opt.verify_checksums);
-    s.waited = true;
-    s.ready_vt = me.clock().now();
-  };
-
-  std::vector<int> commits(static_cast<std::size_t>(chains.tiles()), 0);
-  std::size_t committed = 0;          // products landed in c_dst
-  std::vector<std::size_t> inflight;  // issued, uncommitted tasks
-  std::size_t next = 0;               // next plan index to issue
-
-  // Earliest virtual time the task's operands can all be consumed —
-  // known at issue time because RMA completions are computed when the get
-  // is posted.
-  const auto ready_estimate = [&](std::size_t idx) {
-    double r = me.clock().now();
-    for (const int si : {a_slot[idx], b_slot[idx]}) {
-      const Slot& s = slots[static_cast<std::size_t>(si)];
-      if (s.waited) {
-        r = std::max(r, s.ready_vt);
-      } else if (s.st->handle.pending) {
-        r = std::max(r, s.st->handle.completion());
-      }
-    }
-    return r;
-  };
-
-  // Issue one task: fetch whatever operand slots are not already live.
-  const auto issue = [&](std::size_t idx) {
-    trip(fault::KillPoint::Prefetch);
-    if (killed_now()) return;  // fail-stop: no new fetches
-    if (tr != nullptr)
-      tr->instant(me.id(), trace::Phase::TaskIssue, me.clock().now(), idx);
+  // Make the head task's operands consumable.  Each slot is settled once,
+  // by its first reader; a failed fetch is re-armed in place, so every
+  // reader of a shared slot reads the refetched bytes.  Returns false, with
+  // nothing re-armed, once this rank's domain is killed.
+  const auto settle_head = [&](std::size_t idx) {
     const Task& t = tasks[idx];
-    Slot& sa = slots[static_cast<std::size_t>(a_slot[idx])];
-    Slot& sb = slots[static_cast<std::size_t>(b_slot[idx])];
-    if (!sa.issued) acquire_slot(a, sa, t, true);
-    if (!sb.issued) acquire_slot(b, sb, t, false);
-    sa.inflight += 1;
-    sb.inflight += 1;
-    inflight.push_back(idx);
-  };
-
-  // Buffer-budget pressure valve: bytes the next issue would add, and the
-  // early release of idle slots to make room (mirrors the pipeline's
-  // eviction — a later consumer refetches).
-  const auto issue_cost = [&](std::size_t idx) {
-    std::uint64_t add = 0;
-    const Slot& sa = slots[static_cast<std::size_t>(a_slot[idx])];
-    const Slot& sb = slots[static_cast<std::size_t>(b_slot[idx])];
-    if (!sa.issued) add += patch_bytes(tasks[idx], true);
-    if (!sb.issued && b_slot[idx] != a_slot[idx])
-      add += patch_bytes(tasks[idx], false);
-    return add;
-  };
-  const auto relieve_budget = [&](std::size_t idx, std::uint64_t add) {
-    if (opt.max_buffer_bytes == 0) return;
-    for (Slot& s : slots) {
-      if (live_bytes + add <= opt.max_buffer_bytes) return;
-      if (&s == &slots[static_cast<std::size_t>(a_slot[idx])] ||
-          &s == &slots[static_cast<std::size_t>(b_slot[idx])])
-        continue;
-      if (s.issued && s.waited && s.inflight == 0 && s.st->cap_bytes > 0)
-        release_slot(s);
-    }
-  };
-
-  // Execute one head task.  Returns true when the product committed, false
-  // when a failed operand was re-armed in place (the task keeps its
-  // position; fresh fetches draw fresh fault decisions).
-  const auto execute = [&](std::size_t idx) -> bool {
-    const Task& t = tasks[idx];
-    trace::SpanGuard task_span(tr, me.id(), trace::Phase::Task, me.clock(),
-                               idx);
-    Slot& sa = slots[static_cast<std::size_t>(a_slot[idx])];
-    Slot& sb = slots[static_cast<std::size_t>(b_slot[idx])];
-    wait_slot(a, sa);
-    wait_slot(b, sb);
-    if (sa.st->failed || sb.st->failed) {
+    Slot& sa = slots[held[idx % window][0]];
+    Slot& sb = slots[held[idx % window][1]];
+    for (;;) {
+      for (Slot* s : {&sa, &sb}) {
+        if (s->settled) continue;
+        settle(me, mat_of(*s), s->st, opt.verify_checksums);
+        s->settled = true;
+      }
+      if (!sa.st.failed && !sb.st.failed) return true;
+      if (killed_now()) return false;
       budget.charge(me, idx);
-      if (sa.st->failed) acquire_slot(a, sa, t, true);
-      if (sb.st->failed) acquire_slot(b, sb, t, false);
-      return false;
+      if (sa.st.failed) fetch(sa, t);
+      if (sb.st.failed) fetch(sb, t);
     }
-    if (tr != nullptr)
-      tr->instant(me.id(), trace::Phase::TaskReady, me.clock().now(), idx);
-    MatrixView c_tile;
-    if (!phantom) c_tile = c_dst.block(t.ci, t.cj, t.cm, t.cn);
-    multiply(me, opt, a, b, c_decl, t, *sa.st, *sb.st, c_tile);
-    commits[static_cast<std::size_t>(task_tile[idx])] += 1;
-    ++committed;
-    sa.inflight -= 1;
-    sb.inflight -= 1;
-    deref_slot(a_slot[idx]);
-    deref_slot(b_slot[idx]);
-    inflight.erase(std::find(inflight.begin(), inflight.end(), idx));
-    return true;
   };
 
-  // -- main loop -------------------------------------------------------------
-  // Some head is always runnable: every task below the earliest uncommitted
-  // plan index has committed, so that index has been issued and heads its
-  // tile's chain (docs/ANALYSIS.md §2).
-  while (committed < n_tasks) {
+  std::size_t next = 0;
+  std::size_t committed = 0;
+  for (std::size_t head = 0; head < n_tasks; ++head) {
     trip(fault::KillPoint::Chain);
     if (killed_now()) break;  // fail-stop at a task boundary: drain below
-    // Top up the issue window.
-    while (inflight.size() < window && next < n_tasks) {
-      const std::uint64_t add = issue_cost(next);
-      if (opt.max_buffer_bytes > 0 &&
-          live_bytes + add > opt.max_buffer_bytes) {
-        relieve_budget(next, add);
-        if (live_bytes + add > opt.max_buffer_bytes && !inflight.empty())
-          break;  // retry once something commits
+    // Top up the issue window to the head plus `lookahead` tasks.
+    while (next < n_tasks &&
+           next <= head + static_cast<std::size_t>(lookahead)) {
+      const Task& t = tasks[next];
+      std::ptrdiff_t sa = find(true, t);
+      std::ptrdiff_t sb = find(false, t);
+      // Release the slots no issued task reads, except the two this task
+      // shares.  Releasing only here, just before a fetch, lets the next
+      // task share a patch the previous one read, whatever the lookahead.
+      const auto idle = [&](std::size_t i) {
+        const auto si = static_cast<std::ptrdiff_t>(i);
+        return slots[i].live && slots[i].readers == 0 && si != sa && si != sb;
+      };
+      for (std::size_t i = 0; i < slots.size(); ++i)
+        if (idle(i) && !slots[i].keep) release(slots[i]);
+      if (opt.max_buffer_bytes > 0) {
+        // Over budget, also release the slots the plan lifetime holds for a
+        // later reader (which then refetches); still over, hold this issue
+        // back until the head commits.
+        std::uint64_t add = 0;
+        if (sa < 0) add += static_cast<std::uint64_t>(t.a_m) *
+                           static_cast<std::uint64_t>(t.a_n) * sizeof(double);
+        if (sb < 0) add += static_cast<std::uint64_t>(t.b_m) *
+                           static_cast<std::uint64_t>(t.b_n) * sizeof(double);
+        const auto over = [&] {
+          return live_bytes + add > opt.max_buffer_bytes;
+        };
+        for (std::size_t i = 0; i < slots.size() && over(); ++i)
+          if (idle(i) && slots[i].st.cap_bytes > 0) release(slots[i]);
+        if (over() && next > head) break;
       }
-      issue(next);
+      trip(fault::KillPoint::Prefetch);
+      if (killed_now()) break;  // fail-stop: no new fetches
+      if (tr != nullptr)
+        tr->instant(me.id(), trace::Phase::TaskIssue, me.clock().now(), next);
+      if (sa < 0) sa = static_cast<std::ptrdiff_t>(fetch_new(true, t));
+      if (sb < 0) sb = static_cast<std::ptrdiff_t>(fetch_new(false, t));
+      std::array<std::size_t, 2>& h = held[next % window];
+      h = {static_cast<std::size_t>(sa), static_cast<std::size_t>(sb)};
+      for (const std::size_t si : h) slots[si].readers += 1;
       ++next;
     }
     if (killed_now()) break;
-
-    // Run the chain head whose operands land earliest.
-    std::ptrdiff_t best = -1;
-    double best_ready = 0.0;
-    for (const std::size_t idx : inflight) {
-      if (task_pos[idx] != commits[static_cast<std::size_t>(task_tile[idx])])
-        continue;  // behind an uncommitted predecessor
-      const double r = ready_estimate(idx);
-      if (best < 0 || r < best_ready) {
-        best = static_cast<std::ptrdiff_t>(idx);
-        best_ready = r;
-      }
-    }
-    SRUMMA_ASSERT(best >= 0, "engine: no runnable task and nothing in flight");
-    execute(static_cast<std::size_t>(best));
+    const Task& t = tasks[head];
+    trace::SpanGuard task_span(tr, me.id(), trace::Phase::Task, me.clock(),
+                               head);
+    if (!settle_head(head)) break;
+    const std::array<std::size_t, 2>& h = held[head % window];
+    MatrixView c_tile;
+    if (!a.phantom()) c_tile = c_dst.block(t.ci, t.cj, t.cm, t.cn);
+    multiply(me, opt, a, b, c_decl, t, slots[h[0]].st, slots[h[1]].st,
+             c_tile);
+    ++committed;
+    const std::uint8_t again = later.empty() ? 0 : later[head];
+    slots[h[0]].readers -= 1;
+    slots[h[0]].keep = (again & kLaterA) != 0;
+    slots[h[1]].readers -= 1;
+    slots[h[1]].keep = (again & kLaterB) != 0;
   }
 
-  if (killed_now()) {
-    // Zombie drain: complete in-flight handles and release cache refs so
-    // the domain's cache/checker state stays balanced; committed products
-    // stay committed (the ledger counts them once on this rank), and the
-    // uncommitted remainder is adopted by survivors from the replicas.
-    for (Slot& s : slots) drain(me, *s.mat, *s.st);
+  // Zombie drain: complete in-flight handles and release cache refs so the
+  // domain's cache/checker state stays balanced; committed products stay
+  // committed (the ledger counts them once on this rank), and the
+  // uncommitted remainder is adopted by survivors from the replicas.
+  const bool zombie = killed_now();
+  for (Slot& s : slots) {
+    if (zombie && s.live) drain(me, mat_of(s), s.st);
+    if (!s.st.buf.empty()) pool.spare.push_back(std::move(s.st.buf));
   }
 
   me.trace().buffer_bytes_peak =

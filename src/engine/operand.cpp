@@ -21,7 +21,6 @@ void acquire(Rank& me, DistMatrix& mat, index_t i0, index_t j0, index_t mi,
   st.j0 = j0;
   st.m = mi;
   st.n = nj;
-  st.valid = true;
   st.failed = false;
   st.rate_factor = 1.0;
 
@@ -154,32 +153,11 @@ void ReissueBudget::charge(Rank& me, std::uint64_t idx) {
     tr->instant(me.id(), trace::Phase::TaskRearm, me.clock().now(), idx);
 }
 
-bool settle(Rank& me, DistMatrix& a, DistMatrix& b, const Task& t,
-            const SrummaOptions& opt, OperandState& sa, OperandState& sb,
-            ReissueBudget& budget, std::uint64_t idx) {
-  const fault::FaultPlane* fp = me.team().faults();
-  for (;;) {
-    const bool a_fetched = sa.handle.pending;
-    const bool b_fetched = sb.handle.pending;
-    if (a_fetched && !a.try_wait(me, sa.handle)) sa.failed = true;
-    if (b_fetched && !b.try_wait(me, sb.handle)) sb.failed = true;
-    if (opt.verify_checksums) {
-      // Only fresh fetches: a reused A patch was verified when its first
-      // consumer settled it, and the panels are read-only for the rest of
-      // the multiply.
-      if (a_fetched) verify_operand(me, a, sa);
-      if (b_fetched) verify_operand(me, b, sb);
-    }
-    finish_cache(me, a, sa, a_fetched, opt.verify_checksums);
-    finish_cache(me, b, sb, b_fetched, opt.verify_checksums);
-    if (!sa.failed && !sb.failed) return true;
-    if (fp != nullptr && fp->domain_killed(me.domain())) return false;
-    budget.charge(me, idx);
-    if (sa.failed)
-      acquire(me, a, t.a_i0, t.a_j0, t.a_m, t.a_n, opt.shm_flavor, sa);
-    if (sb.failed)
-      acquire(me, b, t.b_i0, t.b_j0, t.b_m, t.b_n, opt.shm_flavor, sb);
-  }
+void settle(Rank& me, DistMatrix& mat, OperandState& st, bool verify) {
+  const bool fetched = st.handle.pending;
+  if (fetched && !mat.try_wait(me, st.handle)) st.failed = true;
+  if (verify && fetched) verify_operand(me, mat, st);
+  finish_cache(me, mat, st, fetched, verify);
 }
 
 void multiply(Rank& me, const SrummaOptions& opt, DistMatrix& a,

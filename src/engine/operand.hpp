@@ -1,23 +1,20 @@
 #pragma once
-// The per-task steps every executor shares: operand acquisition, settling
-// and the block product.
+// The per-operand steps of the executor (engine/engine.hpp): operand
+// acquisition, settling and the block product.
 //
 // One OperandState is one acquired patch of A or B: either a direct
 // (in-place) view of a peer's block, or a copy fetched into a local buffer
 // with a (possibly) nonblocking generalized get, optionally routed through
-// the cooperative block cache.  The static pipeline (core/srumma.cpp) owns
-// a rotating pool of these; the dependency-driven engine (engine/engine.cpp)
-// hands each task-graph operand its own refcounted state, for a rank's own
-// plan and for a recovery adopter's share of a dead domain's chains alike.
-// Both executors acquire, re-arm and multiply through the functions below —
-// that is what makes their C results and fault behavior comparable.
+// the cooperative block cache.  run_plan keeps one per live operand slot,
+// for a rank's own plan and for a recovery adopter's share of a dead
+// domain's chains alike.
 //
 // Accounting note: acquire() deliberately bumps no task-classification
 // counters.  copy_tasks / direct_tasks count *block products* and are
 // classified at execution time by multiply() (both operands direct ->
 // direct, else copy), so the identity
 //     copy_tasks + direct_tasks == executed block products
-// holds exactly even under fetch re-arms and A-patch reuse.
+// holds exactly even under fetch re-arms and shared operand slots.
 
 #include <array>
 #include <cstddef>
@@ -36,13 +33,12 @@ struct OperandState {
   Matrix buf;            // backing storage for the copy path
   PatchHandle handle;    // pending fetch (copy path only)
   ConstMatrixView view;  // what dgemm will read (empty in phantom mode)
-  // Patch identity, for A-reuse matching.
+  // Patch identity: what a later task's operand slot is matched against.
   index_t i0 = -1, j0 = -1, m = -1, n = -1;
-  bool valid = false;
   bool direct = false;
   // The fetch behind this state exhausted its RMA retries: the buffer
   // contents are unreliable until the state is re-armed (re-acquired in
-  // place), and matches() refuses to pair a new task with it.
+  // place).
   bool failed = false;
   // Cooperative-cache participation of the current acquire (inactive when
   // the cache is off, the patch is in-domain, or the path is direct).
@@ -51,16 +47,6 @@ struct OperandState {
   // Modeled buffer capacity this state has grown to via copy-path
   // acquires (tracked even in phantom mode, where nothing is allocated).
   std::uint64_t cap_bytes = 0;
-  // Highest task index that reads this state (pipeline executor only).  A
-  // state may only be evicted (refetched with a different patch) once that
-  // task has been computed — reuse runs can keep a buffer live across many
-  // pipeline slots.
-  std::ptrdiff_t last_user = -1;
-
-  [[nodiscard]] bool matches(index_t pi0, index_t pj0, index_t pm,
-                             index_t pn) const {
-    return valid && !failed && i0 == pi0 && j0 == pj0 && m == pm && n == pn;
-  }
 };
 
 /// Acquire a patch of `mat` into `st` (direct view or nonblocking fetch).
@@ -72,7 +58,8 @@ void acquire(Rank& me, DistMatrix& mat, index_t i0, index_t j0, index_t mi,
 /// Bounded — a refetch draws fresh fault decisions and can be corrupted
 /// again, but 16 consecutive corruptions at any sane injection rate means
 /// the configuration is broken, not unlucky.  A refetch that itself
-/// exhausts its RMA retries marks the state failed so settle() re-arms it.
+/// exhausts its RMA retries marks the state failed, for the executor to
+/// re-arm.
 void verify_operand(Rank& me, DistMatrix& mat, OperandState& st);
 
 /// Cooperative-cache epilogue for one operand state, run after the executor
@@ -87,7 +74,7 @@ void finish_cache(Rank& me, DistMatrix& mat, OperandState& st, bool fetched,
                   bool verify);
 
 /// Cap on re-arm rounds: a transfer that keeps failing after its RMA
-/// retries means a broken configuration, not bad luck.  Each executor run
+/// retries means a broken configuration, not bad luck.  Each run_plan call
 /// has one budget of 4 x tasks + 16 (a recovery adopter's plan included);
 /// an adopter gives each replica seed and tile store its own 16, and
 /// srumma_multiply's buddy-replication gets share 16.
@@ -101,17 +88,13 @@ struct ReissueBudget {
   void charge(Rank& me, std::uint64_t idx);
 };
 
-/// Make task `t`'s acquired operands consumable: wait A, wait B, verify
-/// both fresh fetches when opt.verify_checksums is set, finish both cache
-/// refs.  While an operand is failed, charge `budget` one round and
-/// re-acquire only that operand, in place, then settle again — so every
-/// consumer of a shared state (pipeline A reuse) reads the re-armed bytes.
-/// Returns false, with nothing pending, once this rank's own domain is
-/// killed (fail-stop: the caller bails to its drain).
-[[nodiscard]] bool settle(Rank& me, DistMatrix& a, DistMatrix& b,
-                          const Task& t, const SrummaOptions& opt,
-                          OperandState& sa, OperandState& sb,
-                          ReissueBudget& budget, std::uint64_t idx);
+/// Make one acquired operand consumable for its first reader: wait its
+/// fetch, verify the fresh bytes against the owners when `verify` is set,
+/// and finish its cache ref.  A fetch that exhausted its RMA retries leaves
+/// `st.failed` set; the executor then re-arms the operand in place (acquire
+/// again) and settles it again, so every reader of a shared operand reads
+/// the refetched bytes.
+void settle(Rank& me, DistMatrix& mat, OperandState& st, bool verify);
 
 /// One block product dst += alpha op(A) op(B) from settled operands: the
 /// checker's operand-read declarations, plus the write of `dst` when `c`

@@ -69,9 +69,10 @@ struct LostChain {
 // tile moved to its own row band of one stacked scratch matrix.  Each band
 // starts from the replica's post-beta snapshot, so every reconstructed
 // tile is bitwise the fault-free result: the exact operand values and op
-// sequence the dead owner would have run.  Operand dedup, fetch re-arm and
-// the issue window are run_plan's, so the replay pays max(comm, compute)
-// across chain boundaries like the executors do.  The final stores
+// sequence the dead owner would have run.  Operand sharing and lifetime,
+// fetch re-arm and the issue window are run_plan's, under the dead owner's
+// options, so the replay pays max(comm, compute) across chain boundaries
+// as the owner's run would have.  The final stores
 // redirect into the buddy's replica (the dead ranks' own segments are
 // unreachable), which is where gather_to contributes dead-domain blocks
 // from.
@@ -191,7 +192,7 @@ void recover(Rank& me, DistMatrix& a, DistMatrix& b, DistMatrix& c,
   // Size the recovery epoch for the whole replayed working set — every A/B
   // panel the dead ranks' plans touch — so each surviving domain fetches a
   // panel at most once (single-flight) and replays the rest from cache; an
-  // LRU sized for the executor's rotating slots would thrash here.
+  // LRU sized for the executor's issue window would thrash here.
   std::uint64_t cache_cap = 0;
   for (int r = 0; r < mm.total_ranks(); ++r) {
     const std::uint64_t ab =
@@ -212,8 +213,8 @@ void recover(Rank& me, DistMatrix& a, DistMatrix& b, DistMatrix& c,
   if (!zombie) {
     // Every dead rank's plan, rebuilt from the layouts, and its commit
     // chains in deterministic (rank, tile) order.  chain_layout is the
-    // same grouping the engine executes and the static analyzer certifies,
-    // so repaired chains inherit the audited plan-order structure.
+    // plan-order grouping the static analyzer certifies, so repaired chains
+    // inherit the audited plan-order structure.
     std::vector<DeadPlan> dead;
     for (int r = 0; r < mm.total_ranks(); ++r) {
       if (mm.domain_of(r) != kd) continue;

@@ -24,7 +24,6 @@ const char* phase_name(Phase p) {
     case Phase::Recv: return "recv";
     case Phase::CacheRead: return "cache read";
     case Phase::TaskIssue: return "task issue";
-    case Phase::TaskReady: return "task ready";
     case Phase::TaskRearm: return "task rearm";
     case Phase::ShmFallback: return "shm fallback";
     case Phase::Fault: return "fault injected";

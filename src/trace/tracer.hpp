@@ -45,7 +45,7 @@ namespace srumma::trace {
 enum class Phase : std::uint8_t {
   // -- CPU spans -------------------------------------------------------------
   Multiply,      ///< one srumma_multiply collective, entry to exit barrier
-  Task,          ///< one pipeline task: operand wait + verify + dgemm
+  Task,          ///< one executor task: operand wait + verify + dgemm
   Compute,       ///< a charged dgemm (any algorithm)
   Wait,          ///< clock blocked on a completion that delivered
   RecoveryWait,  ///< clock blocked on an attempt that failed / timed out
@@ -61,9 +61,8 @@ enum class Phase : std::uint8_t {
   Recv,  ///< two-sided receive, post -> delivery
   CacheRead,  ///< intra-domain copy out of the cooperative block cache
   // -- instants --------------------------------------------------------------
-  TaskIssue,    ///< pipeline issued a task's fetches (arg = task index)
-  TaskReady,    ///< engine task's operands all landed (arg = task index)
-  TaskRearm,    ///< an executor re-armed a task's failed operand fetches
+  TaskIssue,    ///< the executor issued a task's fetches (arg = task index)
+  TaskRearm,    ///< the executor re-armed a task's failed operand fetches
                 ///< in place (arg = task index); one per task_reissues
   ShmFallback,  ///< Direct -> Copy operand degradation (dead domain)
   Fault,        ///< transient transfer failure injected

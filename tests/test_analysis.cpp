@@ -1,8 +1,8 @@
 // Static analyzer (src/analysis): clean configurations must certify with
-// zero findings, every seeded mutation class must be flagged, the static
-// resource bounds must dominate both the pipeline replay and real runs of
-// both executors, and the happens-before detector must agree with the
-// epoch checker on crafted journals.
+// zero findings, every seeded mutation class must be flagged, the executor
+// replay must reproduce real runs' buffer peaks under both operand
+// lifetimes, within the static bounds, and the happens-before detector
+// must agree with the epoch checker on crafted journals.
 
 #include <gtest/gtest.h>
 
@@ -87,14 +87,14 @@ TEST(Analysis, CleanConfigsCertify) {
                     << f.message;
     EXPECT_GT(rep.total_tasks, 0u) << label;
     EXPECT_GT(rep.bounds.buffer_bytes, 0u) << label;
-    // The replayed exact pipeline footprint never exceeds the closed-form
-    // ceiling (also enforced as a ResourceBound finding, but assert the
-    // margin explicitly).
-    EXPECT_LE(rep.pipeline_replay_peak_bytes,
-              rep.bounds.pipeline_buffer_bytes)
-        << label;
-    EXPECT_LE(rep.pipeline_replay_peak_pins, rep.bounds.pipeline_cache_pins)
-        << label;
+    // The replayed exact footprint of each lifetime never exceeds the
+    // closed-form ceiling (also enforced as a ResourceBound finding, but
+    // assert the margin explicitly), and the window lifetime never holds
+    // more than the plan lifetime.
+    EXPECT_LE(rep.window_replay.bytes, rep.plan_replay.bytes) << label;
+    EXPECT_LE(rep.plan_replay.bytes, rep.bounds.buffer_bytes) << label;
+    EXPECT_LE(rep.window_replay.pins, rep.bounds.cache_pins) << label;
+    EXPECT_LE(rep.plan_replay.pins, rep.bounds.cache_pins) << label;
   }
 }
 
@@ -145,7 +145,7 @@ TEST(Analysis, MutationDropWaitFlagged) {
         analysis::mutate_plan(pm, Mutation::DropWait, seed);
     const AnalysisReport rep = analysis::analyze(pm);
     EXPECT_FALSE(rep.certified()) << what;
-    EXPECT_TRUE(has_kind(rep, FindingKind::Pipeline)) << what;
+    EXPECT_TRUE(has_kind(rep, FindingKind::Executor)) << what;
     // The replay must name the dynamic class the fault surfaces as.
     bool use_before_wait = false;
     for (const analysis::Finding& f : rep.findings)
@@ -204,17 +204,27 @@ TEST(Analysis, MutationsDeterministic) {
 
 // -- static bounds vs real runs -----------------------------------------------
 
-/// Run the real multiply for the modeled configuration and return the
-/// team-wide buffer peak (MAX across ranks, matching the bound semantics).
-std::uint64_t run_real_peak(const AnalysisConfig& cfg, EngineMode engine) {
+struct RealRun {
+  std::uint64_t peak = 0;  ///< team-wide buffer_bytes_peak
+  Matrix c;
+};
+
+/// Run the real multiply for the modeled configuration, pooled on one
+/// harness worker, and return the team-wide buffer peak (MAX across ranks,
+/// matching the bound semantics) and the gathered C.
+RealRun run_real(const AnalysisConfig& cfg, EngineMode engine,
+                 bool cache = false) {
   Team team(cfg.machine);
-  RmaRuntime rma(team);
+  team.set_execution(ExecMode::Pooled, 1);
+  RmaConfig rc;
+  rc.cache = cache;
+  RmaRuntime rma(team, rc);
   const ProcGrid grid = ProcGrid::near_square(team.size());
   Matrix a_global = testing::coords_matrix(cfg.m, cfg.k);
   Matrix b_global(cfg.k, cfg.n);
   fill_random(b_global.view(), 7);
 
-  Matrix c_out(cfg.m, cfg.n);
+  RealRun out{0, Matrix(cfg.m, cfg.n)};
   MultiplyResult result;
   SrummaOptions opt = cfg.options;
   opt.engine = engine;
@@ -226,12 +236,17 @@ std::uint64_t run_real_peak(const AnalysisConfig& cfg, EngineMode engine) {
     b.scatter_from(me, b_global.view());
     MultiplyResult r = srumma_multiply(me, a, b, c, opt);
     if (me.id() == 0) result = r;
-    c.gather_to(me, c_out.view());
+    c.gather_to(me, out.c.view());
   });
-  return result.trace.buffer_bytes_peak;
+  out.peak = result.trace.buffer_bytes_peak;
+  return out;
 }
 
-TEST(Analysis, StaticBoundCoversPipelineRun) {
+std::uint64_t run_real_peak(const AnalysisConfig& cfg, EngineMode engine) {
+  return run_real(cfg, engine).peak;
+}
+
+TEST(Analysis, StaticBoundCoversWindowLifetimeRun) {
   AnalysisConfig cfg = base_config();
   cfg.options.shm_flavor = ShmFlavor::Copy;
   const AnalysisReport rep =
@@ -239,11 +254,11 @@ TEST(Analysis, StaticBoundCoversPipelineRun) {
   ASSERT_TRUE(rep.certified());
   const std::uint64_t peak = run_real_peak(cfg, EngineMode::Off);
   EXPECT_GT(peak, 0u);
-  EXPECT_LE(peak, rep.bounds.pipeline_buffer_bytes);
+  EXPECT_EQ(peak, rep.window_replay.bytes);
   EXPECT_LE(peak, rep.bounds.buffer_bytes);
 }
 
-TEST(Analysis, StaticBoundCoversEngineRun) {
+TEST(Analysis, StaticBoundCoversPlanLifetimeRun) {
   AnalysisConfig cfg = base_config();
   cfg.options.shm_flavor = ShmFlavor::Copy;
   const AnalysisReport rep =
@@ -251,7 +266,7 @@ TEST(Analysis, StaticBoundCoversEngineRun) {
   ASSERT_TRUE(rep.certified());
   const std::uint64_t peak = run_real_peak(cfg, EngineMode::On);
   EXPECT_GT(peak, 0u);
-  EXPECT_LE(peak, rep.bounds.engine_buffer_bytes);
+  EXPECT_EQ(peak, rep.plan_replay.bytes);
   EXPECT_LE(peak, rep.bounds.buffer_bytes);
 }
 
@@ -265,6 +280,42 @@ TEST(Analysis, StaticBoundCoversTiledClusterRun) {
   ASSERT_TRUE(rep.certified());
   for (const EngineMode mode : {EngineMode::Off, EngineMode::On})
     EXPECT_LE(run_real_peak(cfg, mode), rep.bounds.buffer_bytes);
+}
+
+TEST(Analysis, ReplayPeakMatchesRunsOfBothLifetimes) {
+  // The executor replay is exact: over machine x C tiling x blocking x
+  // cache, a clean run's buffer_bytes_peak equals the replay's peak for its
+  // operand lifetime, and the two lifetimes produce bitwise the same C
+  // (both commit every tile's products in plan order).
+  const index_t n = 128;
+  for (const MachineModel& mm :
+       {MachineModel::linux_myrinet(4), MachineModel::ibm_sp(2)}) {
+    for (const index_t c_chunk : {index_t{0}, n / 16}) {
+      for (const bool nonblocking : {false, true}) {
+        for (const bool cache : {false, true}) {
+          AnalysisConfig cfg;
+          cfg.machine = mm;
+          cfg.m = cfg.n = cfg.k = n;
+          cfg.options.c_chunk = c_chunk;
+          cfg.options.nonblocking = nonblocking;
+          const std::string label =
+              mm.name + " c_chunk=" + std::to_string(c_chunk) +
+              (nonblocking ? " nonblocking" : " blocking") +
+              (cache ? " cache" : "");
+          const AnalysisReport rep =
+              analysis::analyze(analysis::build_plan_model(cfg));
+          ASSERT_TRUE(rep.certified()) << label;
+          const RealRun window = run_real(cfg, EngineMode::Off, cache);
+          const RealRun plan = run_real(cfg, EngineMode::On, cache);
+          EXPECT_EQ(window.peak, rep.window_replay.bytes) << label;
+          EXPECT_EQ(plan.peak, rep.plan_replay.bytes) << label;
+          EXPECT_LE(plan.peak, rep.bounds.buffer_bytes) << label;
+          EXPECT_EQ(max_abs_diff(window.c.view(), plan.c.view()), 0.0)
+              << label;
+        }
+      }
+    }
+  }
 }
 
 // -- happens-before cross-checker ---------------------------------------------

@@ -1,16 +1,19 @@
-// Dependency-driven task engine (src/engine, docs/ENGINE.md): the engine
-// must produce bitwise-identical C to the static pipeline on every
-// configuration (transposes, flavors, chunking, blocking mode, faults,
-// cache), reconcile its ledger exactly
-// (engine_tasks == copy_tasks + direct_tasks == gemm_calls), re-arm failed
-// fetches in place, and beat the pipeline under a straggler by running C
-// tiles out of order.
+// The task executor (src/engine, docs/ENGINE.md) under its two operand
+// lifetimes: the plan lifetime (EngineMode::On) must produce C bitwise
+// identical to the window lifetime (Off) on every configuration
+// (transposes, flavors, chunking, blocking mode, faults, cache), reconcile
+// its ledger exactly (engine_tasks == copy_tasks + direct_tasks ==
+// gemm_calls), re-arm failed fetches in place, and beat the window lifetime
+// under a straggler by holding patches until their last reader; the window
+// lifetime must never hold more than its issue window.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
+#include "analysis/plan_model.hpp"
 #include "core/srumma.hpp"
 #include "engine/engine.hpp"
 #include "tests/helpers.hpp"
@@ -21,8 +24,8 @@ namespace {
 using blas::Trans;
 
 // Small-integer fill: every product and partial sum is exactly
-// representable, so engine-vs-pipeline and engine-vs-serial comparisons can
-// demand bitwise equality (diff exactly 0.0) rather than a tolerance.
+// representable, so lifetime-vs-lifetime and executor-vs-serial comparisons
+// can demand bitwise equality (diff exactly 0.0) rather than a tolerance.
 void fill_ints(MatrixView v, std::uint64_t seed) {
   Rng rng(seed);
   for (index_t j = 0; j < v.cols(); ++j)
@@ -73,13 +76,14 @@ EngineRun run_multiply(const MachineModel& mm, ProcGrid grid, index_t m,
   return out;
 }
 
-// The reconciliation identities every engine run must satisfy exactly.
+// The reconciliation identities every EngineMode::On run must satisfy
+// exactly.
 void expect_engine_ledger(const TraceCounters& t, const std::string& label) {
   EXPECT_EQ(t.engine_tasks, t.copy_tasks + t.direct_tasks) << label;
   EXPECT_EQ(t.copy_tasks + t.direct_tasks, t.gemm_calls) << label;
 }
 
-TEST(Engine, BitwiseIdenticalToPipelineAcrossConfigs) {
+TEST(Engine, BitwiseIdenticalAcrossLifetimesAndConfigs) {
   struct Case {
     MachineModel mm;
     ProcGrid grid;
@@ -169,8 +173,8 @@ TEST(Engine, BitwiseIdenticalToPipelineAcrossConfigs) {
     EngineRun on = run_multiply(sc.mm, sc.grid, sc.m, sc.n, sc.k, sc.cfg,
                                 sc.opt, EngineMode::On, seed);
     EXPECT_EQ(max_abs_diff(on.c.view(), off.c.view()), 0.0) << label;
-    // The pipeline satisfies the classification identity; the engine
-    // counts every product it ran on top.
+    // Both satisfy the classification identity; only EngineMode::On
+    // counts the products it ran in engine_tasks.
     EXPECT_EQ(off.trace.copy_tasks + off.trace.direct_tasks,
               off.trace.gemm_calls)
         << label;
@@ -180,36 +184,46 @@ TEST(Engine, BitwiseIdenticalToPipelineAcrossConfigs) {
   }
 }
 
-TEST(Engine, StragglerRunsOutOfOrderAheadOfPipeline) {
-  // bench_steal's smoke configuration: four dual Myrinet nodes with node
-  // 1's links 8x slow.  The pipeline consumes its fetches in plan order, so
-  // each straggling patch stalls every product queued behind it; the
-  // engine runs whichever C tile's operands land first.  On one harness
-  // worker every modeled number is reproducible, so the win is asserted.
-  fault::FaultConfig f;
-  f.straggler_node = 1;
-  f.straggler_factor = 8.0;
+// bench_steal's smoke configuration: four dual Myrinet nodes with node 1's
+// links 8x slow, and C tiles of n/16, so each B patch is read once per C
+// tile row.
+struct StragglerCase {
   RmaConfig cfg;
-  cfg.faults = f;
-  const MachineModel mm = MachineModel::linux_myrinet(4);
-  const ProcGrid grid = ProcGrid::near_square(mm.total_ranks());
-  const index_t n = 256;
+  MachineModel mm = MachineModel::linux_myrinet(4);
+  ProcGrid grid = ProcGrid::near_square(8);
+  index_t n = 256;
   SrummaOptions opt;
-  opt.c_chunk = n / 16;
+  StragglerCase() {
+    fault::FaultConfig f;
+    f.straggler_node = 1;
+    f.straggler_factor = 8.0;
+    cfg.faults = f;
+    opt.c_chunk = n / 16;
+  }
+  [[nodiscard]] EngineRun run(EngineMode mode) const {
+    return run_multiply(mm, grid, n, n, n, cfg, opt, mode, 21, 1);
+  }
+};
 
-  const EngineRun off =
-      run_multiply(mm, grid, n, n, n, cfg, opt, EngineMode::Off, 21, 1);
-  const EngineRun on =
-      run_multiply(mm, grid, n, n, n, cfg, opt, EngineMode::On, 21, 1);
+TEST(Engine, PlanLifetimeBeatsWindowLifetimeUnderStraggler) {
+  // Both lifetimes run the tasks in plan order.  The window lifetime drops
+  // a B patch once no issued task reads it, so every C tile row fetches it
+  // again, over the slow link whenever node 1 owns it; the plan lifetime
+  // holds it until its last reader commits and fetches it once.  On one
+  // harness worker every modeled number is reproducible, so the win is
+  // asserted.
+  const StragglerCase sc;
+  const EngineRun off = sc.run(EngineMode::Off);
+  const EngineRun on = sc.run(EngineMode::On);
   EXPECT_EQ(max_abs_diff(on.c.view(), off.c.view()), 0.0);
   expect_engine_ledger(on.trace, "straggler");
   EXPECT_EQ(on.trace.engine_tasks, off.trace.gemm_calls);
+  EXPECT_LT(on.trace.gets, off.trace.gets);
   EXPECT_LE(on.max_clock, off.max_clock / 1.3)
-      << "pipeline " << off.max_clock << " vs, engine " << on.max_clock
-      << " vs";
+      << "window lifetime " << off.max_clock << " vs, plan lifetime "
+      << on.max_clock << " vs";
 
-  const EngineRun again =
-      run_multiply(mm, grid, n, n, n, cfg, opt, EngineMode::On, 21, 1);
+  const EngineRun again = sc.run(EngineMode::On);
   EXPECT_EQ(again.max_clock, on.max_clock);
 #define SRUMMA_EXPECT_SAME(type, name, agg) \
   EXPECT_EQ(again.trace.name, on.trace.name) << #name;
@@ -217,10 +231,35 @@ TEST(Engine, StragglerRunsOutOfOrderAheadOfPipeline) {
 #undef SRUMMA_EXPECT_SAME
 }
 
-TEST(Engine, PooledPhantomEngineMatchesPipelineTime) {
-  // Four dual Myrinet nodes on one harness worker: every rank's plan runs
-  // to completion inside a fiber slice.  With no straggler there is little
-  // to reorder, and the engine must not trail the pipeline.
+TEST(Engine, WindowLifetimeHoldsOnlyTheIssueWindow) {
+  // A window-lifetime slot lives while an issued task reads it, so a rank
+  // never holds more than the operands of lookahead + 1 tasks.
+  const StragglerCase sc;
+  analysis::AnalysisConfig cfg;
+  cfg.machine = sc.mm;
+  cfg.options = sc.opt;
+  cfg.m = cfg.n = cfg.k = sc.n;
+  std::uint64_t bound = 0;
+  for (const analysis::RankModel& rm :
+       analysis::build_plan_model(cfg).ranks) {
+    const TaskPlan& p = rm.plan;
+    const auto patch = [](index_t m, index_t n) {
+      return static_cast<std::uint64_t>(m) * static_cast<std::uint64_t>(n) *
+             sizeof(double);
+    };
+    bound = std::max(bound, static_cast<std::uint64_t>(rm.lookahead + 1) *
+                                (patch(p.max_a_m, p.max_a_n) +
+                                 patch(p.max_b_m, p.max_b_n)));
+  }
+  const EngineRun off = sc.run(EngineMode::Off);
+  EXPECT_GT(off.trace.buffer_bytes_peak, 0u);
+  EXPECT_LE(off.trace.buffer_bytes_peak, bound);
+}
+
+TEST(Engine, PooledPhantomPlanLifetimeMatchesWindowTime) {
+  // Four dual Myrinet nodes on one harness worker, one C tile per rank:
+  // every patch has one reader, so the plan lifetime holds nothing longer
+  // and must not trail the window lifetime.
   const MachineModel mm = MachineModel::linux_myrinet(4);
   const index_t n = 512;
   const auto elapsed = [&](EngineMode mode) {
@@ -241,14 +280,15 @@ TEST(Engine, PooledPhantomEngineMatchesPipelineTime) {
   const double pipeline = elapsed(EngineMode::Off);
   const double engine = elapsed(EngineMode::On);
   EXPECT_LE(engine, 1.001 * pipeline)
-      << "pipeline " << pipeline << " vs, engine " << engine << " vs";
+      << "window lifetime " << pipeline << " vs, plan lifetime " << engine
+      << " vs";
 }
 
 TEST(Engine, BlockingFaultsCacheStayBitwiseAndReconciled) {
   // The hard corner all at once: blocking mode (no prefetch window), a
   // fault plane injecting failures and corruption (with the verify pass
   // repairing it), and the cooperative block cache sharing fetches.  Both
-  // executors must produce the exact serial result and keep their
+  // lifetimes must produce the exact serial result and keep their
   // accounting identities.
   fault::FaultConfig f;
   f.seed = 9;

@@ -40,10 +40,10 @@ TEST(Integration, SrummaAndSummaProduceTheSameProduct) {
 }
 
 // Phantom SRUMMA run on a machine; returns team-level result.  Every test
-// built on this helper asserts the static pipeline's timing-model shapes
-// (who wins, what helps, how close to eq. (3)); the task engine's
-// out-of-order schedule legitimately changes those, so pin it off
-// regardless of SRUMMA_ENGINE.  The numerical-agreement tests above/below
+// built on this helper asserts the paper's double-buffer timing-model
+// shapes (who wins, what helps, how close to eq. (3)); the plan operand
+// lifetime's fetch schedule legitimately changes those, so pin the window
+// lifetime regardless of SRUMMA_ENGINE.  The numerical-agreement tests above/below
 // call srumma_multiply directly and do honor the env selection.
 MultiplyResult run_srumma(Team& team, RmaRuntime& rma, index_t n, ProcGrid g,
                           SrummaOptions opt) {

@@ -487,8 +487,8 @@ TEST(Srumma, NonblockingBeatsBlockingOnClusters) {
     DistMatrix b(rma, me, 256, 256, ProcGrid{4, 2}, true);
     DistMatrix c(rma, me, 256, 256, ProcGrid{4, 2}, true);
     SrummaOptions opt;
-    // Timing comparison of the paper's pipeline: pin it (the engine's
-    // out-of-order schedule answers a different question).
+    // Timing comparison of the paper's double buffer: pin the window
+    // lifetime (the plan lifetime answers a different question).
     opt.engine = EngineMode::Off;
     opt.nonblocking = true;
     MultiplyResult r1 = srumma_multiply(me, a, b, c, opt);
